@@ -2,23 +2,32 @@
 //! per-core workload of the LDA-segmented allocation vs. the measured
 //! per-thread running time of a parallel E-step sweep.
 //!
-//! Usage: `fig11_workload [tiny|small|medium] [threads]`.
+//! Usage: `fig11_workload [tiny|small|medium] [threads]`. `threads` must
+//! be a positive integer; anything else exits 2 with the usage line.
 
 use cpd_bench::{datasets, mean, print_table, scale_from_args};
 use cpd_core::parallel::{allocate_segments, balance_ratio, segment_users};
 use cpd_core::{Cpd, CpdConfig, ParallelRuntime};
 use cpd_datagen::generate;
+use std::process::ExitCode;
 
-fn main() {
+const USAGE: &str = "usage: fig11_workload [tiny|small|medium] [threads]";
+
+fn main() -> ExitCode {
     let scale = scale_from_args();
-    let threads: usize = std::env::args()
-        .nth(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get().min(8))
-                .unwrap_or(4)
-        });
+    let threads: usize = match std::env::args().nth(2) {
+        None => std::thread::available_parallelism()
+            .map(|p| p.get().min(8))
+            .unwrap_or(4),
+        Some(arg) => match arg.parse() {
+            Ok(n) if n >= 1 => n,
+            _ => {
+                eprintln!("fig11_workload: threads must be a positive integer, got `{arg}`");
+                eprintln!("{USAGE}");
+                return ExitCode::from(2);
+            }
+        },
+    };
     for (ds_name, gen) in datasets(scale) {
         let (g, _) = generate(&gen);
         let seg = segment_users(&g, gen.n_topics, gen.n_communities, 15, 11);
@@ -145,4 +154,5 @@ fn main() {
     }
     println!("\nShape check vs paper: per-core times should be roughly flat (good balance),");
     println!("with the estimate tracking the actual ordering.");
+    ExitCode::SUCCESS
 }

@@ -1,8 +1,9 @@
 //! Topology-aware count planes over the big count matrices.
 //!
 //! The Gibbs sampler's state is a handful of flat count arrays, each a
-//! matrix plus its row/column marginal: the word-topic pair (`n_zw`:
-//! `Z × W`, `n_z`: `Z`), the community-topic pair (`n_cz`: `C × Z`,
+//! matrix plus its row/column marginal: the word-topic pair (`n_zw`,
+//! stored word-major as `W × Z` so one word's `|Z|` topic counts are
+//! contiguous; `n_z`: `Z`), the community-topic pair (`n_cz`: `C × Z`,
 //! `n_c`: `C`) and the user-community pair (`n_uc`: `U × C`, `n_u`:
 //! `U`). Under the sharded runtimes every mutation of a per-replica
 //! array costs `CountDelta` log entries that the barrier fold replays
@@ -503,8 +504,8 @@ pub struct OpsTally(OpsSplit);
 
 /// One count pair — a row-major matrix plane plus its marginal — behind
 /// a runtime-selected [`CountPlane`] backend. `CpdState` stores three:
-/// word-topic (`n_zw`/`n_z`), community-topic (`n_cz`/`n_c`) and
-/// user-community (`n_uc`/`n_u`).
+/// word-topic (`n_zw`/`n_z`, rows are words), community-topic
+/// (`n_cz`/`n_c`) and user-community (`n_uc`/`n_u`).
 ///
 /// `Dense` is per-replica storage (cloning copies the tallies);
 /// `Shared` is one atomic plane every clone aliases (cloning hands out

@@ -42,13 +42,18 @@
 //!   ([`crate::counts::PairCounts::for_each_nonzero_in_row`]), so that
 //!   work tracks row occupancy instead of K and C. All remaining
 //!   logarithms come from the per-fit [`SamplerTables`] memo tables.
-//!   Bit-exactness argument: each table entry is computed by the same
-//!   floating-point expression the dense path evaluates inline (see
-//!   `cpd_prob::logcache`), a baseline-then-overwrite fill produces the
-//!   same value in every slot as the dense loop, and the one-pass
-//!   sampler draw (`sample_log_index_mut`) preserves the shift, the
-//!   summation order and the single uniform draw — so `Exact` is
-//!   draw-for-draw identical to `Dense` for any seed.
+//!   The word factor runs word-outer, topic-inner over the word-major
+//!   `n_zw` plane (`W × Z`, [`CpdState::zw_slot`]): each token reads
+//!   its `|Z|` counts as one contiguous run into per-topic
+//!   accumulators. Bit-exactness argument: each table entry is
+//!   computed by the same floating-point expression the dense path
+//!   evaluates inline (see `cpd_prob::logcache`), a
+//!   baseline-then-overwrite fill produces the same value in every slot
+//!   as the dense loop, each accumulator adds its candidate's word
+//!   terms in the dense loop's token order, and the one-pass sampler
+//!   draw (`sample_log_index_mut`) preserves the shift, the summation
+//!   order and the single uniform draw — so `Exact` is draw-for-draw
+//!   identical to `Dense` for any seed.
 //! * [`SamplerKind::AliasMh`] — the LightLDA trick adapted to
 //!   document-level assignments. Topic candidates are *proposed* from
 //!   a per-community alias table over the slowly-changing
@@ -227,6 +232,9 @@ struct AliasProposal {
 pub(crate) struct SweepScratch {
     /// Topic-candidate log weights (`|Z|`).
     lw_topic: Vec<f64>,
+    /// Per-topic word-factor accumulators (`|Z|`) of the word-outer
+    /// `Exact` topic draw.
+    acc_topic: Vec<f64>,
     /// Community-candidate log weights (`|C|`).
     lw_comm: Vec<f64>,
     /// Bilinear diffusion precomputation `g[c]` (`|C|`).
@@ -248,6 +256,7 @@ impl SweepScratch {
     pub(crate) fn new() -> Self {
         Self {
             lw_topic: Vec::new(),
+            acc_topic: Vec::new(),
             lw_comm: Vec::new(),
             g: Vec::new(),
             occ: Vec::new(),
@@ -354,12 +363,14 @@ pub(crate) fn sweep_user_docs<S: DeltaSink>(
 /// One full sweep over an explicit document queue, in queue order.
 ///
 /// The locality-tiled schedule of the lock-free runtime: the worker's
-/// documents arrive pre-blocked into word-range tiles so successive
-/// token updates hit warm `n_zw` stripes instead of striding the whole
-/// plane. Per-document work is identical to [`sweep_user_docs`] — only
-/// the visit order differs, which the approximate-Gibbs relaxation
-/// already tolerates (increments commute; the queue covers each of the
-/// worker's documents exactly once, so barrier counts stay exact).
+/// documents arrive pre-blocked into word-range tiles, and a word range
+/// is one contiguous stretch of the word-major `n_zw` plane, so
+/// successive token updates stay inside a warm slice instead of
+/// scattering over the whole plane. Per-document work is identical to
+/// [`sweep_user_docs`] — only the visit order differs, which the
+/// approximate-Gibbs relaxation already tolerates (increments commute;
+/// the queue covers each of the worker's documents exactly once, so
+/// barrier counts stay exact).
 /// Draw-identical runtimes (`DeltaSharded`, serial) must keep using
 /// [`sweep_user_docs`].
 pub(crate) fn sweep_doc_queue<S: DeltaSink>(
@@ -424,7 +435,6 @@ fn sample_topic<S: DeltaSink>(
 ) {
     let doc = &ctx.graph.docs()[d];
     let z_n = state.n_topics;
-    let w_n = state.vocab_size;
     let c = state.doc_community[d] as usize;
     let t = doc.timestamp as usize;
     let z_old = state.doc_topic[d] as usize;
@@ -433,7 +443,9 @@ fn sample_topic<S: DeltaSink>(
     state.comm_topic.add(c * z_n + z_old, -1);
     state.comm_topic.add_marginal(c, -1);
     for w in &doc.words {
-        state.word_topic.add(z_old * w_n + w.index(), -1);
+        state
+            .word_topic
+            .add(CpdState::zw_slot(z_n, w.index(), z_old), -1);
     }
     state
         .word_topic
@@ -452,7 +464,9 @@ fn sample_topic<S: DeltaSink>(
     state.comm_topic.add(c * z_n + z_new, 1);
     state.comm_topic.add_marginal(c, 1);
     for w in &doc.words {
-        state.word_topic.add(z_new * w_n + w.index(), 1);
+        state
+            .word_topic
+            .add(CpdState::zw_slot(z_n, w.index(), z_new), 1);
     }
     state.word_topic.add_marginal(z_new, doc.words.len() as i32);
     state.n_tz[t * z_n + z_new] += 1;
@@ -499,8 +513,8 @@ fn topic_draw_dense(
     for (z, l) in lw.iter_mut().enumerate() {
         let mut acc = 0.0f64;
         for (k, w) in doc.words.iter().enumerate() {
-            acc +=
-                (state.word_topic.get(z * w_n + w.index()) as f64 + ctx.beta + occ[k] as f64).ln();
+            let n = state.word_topic.get(CpdState::zw_slot(z_n, w.index(), z));
+            acc += (n as f64 + ctx.beta + occ[k] as f64).ln();
         }
         let n_z = state.word_topic.marginal(z) as f64;
         for j in 0..len {
@@ -516,8 +530,13 @@ fn topic_draw_dense(
 
 /// [`SamplerKind::Exact`] topic draw: identical draws to
 /// [`topic_draw_dense`], but the prior factor is a zero-count baseline
-/// plus sparse nonzero-row corrections and every logarithm is a memo
-/// table lookup.
+/// plus sparse nonzero-row corrections, every logarithm is a memo
+/// table lookup, and the word factor runs word-outer, topic-inner: each
+/// token reads its `|Z|` counts as one contiguous run of the word-major
+/// plane into per-topic accumulators. Each accumulator still adds its
+/// candidate's word terms in token order, then subtracts its
+/// denominator terms in position order — the dense loop's order per
+/// candidate — so every candidate's log-weight is bit-identical.
 fn topic_draw_exact(
     ctx: &SweepContext<'_>,
     state: &CpdState,
@@ -529,10 +548,10 @@ fn topic_draw_exact(
 ) -> usize {
     let doc = &ctx.graph.docs()[d];
     let z_n = state.n_topics;
-    let w_n = state.vocab_size;
     let tab = ctx.tables;
     let SweepScratch {
         lw_topic,
+        acc_topic,
         occ,
         stats,
         ..
@@ -555,21 +574,23 @@ fn topic_draw_exact(
     stats.sparse_rows += 1;
     stats.sparse_nonzeros += nnz;
     stats.sparse_slots += z_n as u64;
-    // Topic-word factor from the memo tables.
-    let len = doc.words.len();
-    for (z, l) in lw.iter_mut().enumerate() {
-        let mut acc = 0.0f64;
-        let row = z * w_n;
-        for (k, w) in doc.words.iter().enumerate() {
-            acc += tab
-                .word_num
-                .at(state.word_topic.get(row + w.index()), occ[k] as usize);
+    // Topic-word factor from the memo tables, word-outer.
+    zeroed(acc_topic, z_n);
+    let acc = acc_topic;
+    for (k, w) in doc.words.iter().enumerate() {
+        let shift = occ[k] as usize;
+        let row = CpdState::zw_slot(z_n, w.index(), 0);
+        for (z, a) in acc.iter_mut().enumerate() {
+            *a += tab.word_num.at(state.word_topic.get(row + z), shift);
         }
+    }
+    let len = doc.words.len();
+    for (z, (l, a)) in lw.iter_mut().zip(acc.iter_mut()).enumerate() {
         let n_z = state.word_topic.marginal(z);
         for j in 0..len {
-            acc -= tab.word_den.at(n_z, j);
+            *a -= tab.word_den.at(n_z, j);
         }
-        *l += acc;
+        *l += *a;
     }
     if topic_links_active(ctx, phase) {
         add_topic_diffusion_terms(ctx, state, d, c, lw);
@@ -595,7 +616,6 @@ fn topic_draw_alias_mh(
 ) -> usize {
     let doc = &ctx.graph.docs()[d];
     let z_n = state.n_topics;
-    let w_n = state.vocab_size;
     let tab = ctx.tables;
     let SweepScratch {
         occ, alias, stats, ..
@@ -626,11 +646,9 @@ fn topic_draw_alias_mh(
     // Exact target log-weight at a single candidate, from live counts.
     let target = |z: usize| -> f64 {
         let mut lp = tab.ln_alpha.at(state.n_cz(c * z_n + z));
-        let row = z * w_n;
         for (k, w) in doc.words.iter().enumerate() {
-            lp += tab
-                .word_num
-                .at(state.word_topic.get(row + w.index()), occ[k] as usize);
+            let n = state.word_topic.get(CpdState::zw_slot(z_n, w.index(), z));
+            lp += tab.word_num.at(n, occ[k] as usize);
         }
         let n_z = state.word_topic.marginal(z);
         for j in 0..len {

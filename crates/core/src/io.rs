@@ -149,10 +149,14 @@ pub fn read_model<R: Read>(reader: R) -> Result<CpdModel, ModelIoError> {
     let phi = read_matrix(&mut next_line, "phi")?;
 
     let (c_n, z_n) = read_header(&next_line()?, "eta")?;
-    let flat = parse_f64_row(&next_line()?, c_n * c_n * z_n)?;
-    // `Eta` stores row-normalised values; re-normalising normalised rows
-    // with zero smoothing is the identity, so round trips are exact.
-    let eta = Eta::from_counts(c_n, z_n, &flat, 0.0);
+    let len = c_n
+        .checked_mul(c_n)
+        .and_then(|n| n.checked_mul(z_n))
+        .ok_or_else(|| ModelIoError::Format("eta dimensions overflow".into()))?;
+    let flat = parse_f64_row(&next_line()?, len)?;
+    // The values were row-normalised when saved: they load as stored,
+    // bit for bit, and damage is a format error.
+    let eta = Eta::from_normalised(c_n, z_n, flat).map_err(ModelIoError::Format)?;
 
     let (nu_len, _) = read_header_one(&next_line()?, "nu")?;
     let nu = parse_f64_row(&next_line()?, nu_len)?;
@@ -257,7 +261,9 @@ fn read_matrix(
     name: &str,
 ) -> Result<Vec<Vec<f64>>, ModelIoError> {
     let (n_rows, width) = read_header(&next_line()?, name)?;
-    let mut rows = Vec::with_capacity(n_rows);
+    // A damaged header must not size an allocation: rows grow as they
+    // actually parse.
+    let mut rows = Vec::new();
     for _ in 0..n_rows {
         rows.push(parse_f64_row(&next_line()?, width)?);
     }
@@ -329,38 +335,114 @@ mod tests {
     use cpd_datagen::{generate, GenConfig, Scale};
 
     fn fitted_model() -> CpdModel {
+        fitted_model_sized(3, 4)
+    }
+
+    fn fitted_model_sized(n_communities: usize, n_topics: usize) -> CpdModel {
         let (g, _) = generate(&GenConfig::twitter_like(Scale::Tiny));
         let cfg = CpdConfig {
             em_iters: 2,
             gibbs_sweeps: 1,
             nu_iters: 10,
             seed: 77,
-            ..CpdConfig::new(3, 4)
+            ..CpdConfig::new(n_communities, n_topics)
         };
         Cpd::new(cfg).unwrap().fit(&g).model
     }
 
+    /// The `eta` values line of a serialised model.
+    fn eta_line(text: &str) -> usize {
+        let header = text
+            .lines()
+            .position(|l| l.starts_with("eta "))
+            .expect("eta section");
+        header + 1
+    }
+
+    /// `text` with its `eta` values line rewritten by `f`.
+    fn with_eta(text: &str, f: impl Fn(&mut Vec<String>)) -> String {
+        let at = eta_line(text);
+        let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+        let mut cells: Vec<String> = lines[at].split_whitespace().map(str::to_owned).collect();
+        f(&mut cells);
+        lines[at] = cells.join(" ");
+        lines.join("\n") + "\n"
+    }
+
     #[test]
     fn round_trip_is_exact() {
-        let model = fitted_model();
+        // |C|·|Z| = 1,000 cells per η row: large enough that dividing a
+        // stored row by its float sum again moves some values.
+        let model = fitted_model_sized(20, 50);
+        let renormalised = Eta::from_counts(20, 50, model.eta.as_slice(), 0.0);
+        assert_ne!(
+            renormalised.as_slice(),
+            model.eta.as_slice(),
+            "this size no longer shows re-normalisation drift"
+        );
         let mut buf = Vec::new();
         write_model(&model, &mut buf).unwrap();
         let loaded = read_model(&buf[..]).unwrap();
         assert_eq!(model.pi, loaded.pi);
         assert_eq!(model.theta, loaded.theta);
         assert_eq!(model.phi, loaded.phi);
+        assert_eq!(model.eta.as_slice(), loaded.eta.as_slice());
         assert_eq!(model.nu, loaded.nu);
+        assert_eq!(model.topic_popularity, loaded.topic_popularity);
         assert_eq!(model.doc_community, loaded.doc_community);
         assert_eq!(model.doc_topic, loaded.doc_topic);
-        for c in 0..model.n_communities() {
-            for c2 in 0..model.n_communities() {
-                for z in 0..model.n_topics() {
-                    assert!(
-                        (model.eta.at(c, c2, z) - loaded.eta.at(c, c2, z)).abs() < 1e-15,
-                        "eta[{c}][{c2}][{z}]"
-                    );
-                }
+    }
+
+    #[test]
+    fn rejects_damaged_eta_with_a_format_error() {
+        let model = fitted_model();
+        let mut buf = Vec::new();
+        write_model(&model, &mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        type Damage = fn(&mut Vec<String>);
+        let damage: [(&str, Damage); 5] = [
+            ("NaN cell", |c| c[0] = "NaN".into()),
+            ("infinite cell", |c| c[1] = "inf".into()),
+            ("negative cell", |c| c[0] = format!("-{}", c[0])),
+            ("row sum off", |c| c[2] = "0.5".into()),
+            ("short row", |c| drop(c.pop())),
+        ];
+        for (what, f) in damage {
+            let damaged = with_eta(&text, f);
+            assert_ne!(damaged, text, "{what}: damage must change the file");
+            match read_model(damaged.as_bytes()) {
+                Err(ModelIoError::Format(msg)) => assert!(!msg.is_empty(), "{what}"),
+                other => panic!("{what}: expected a format error, got {other:?}"),
             }
+        }
+        // An undamaged rewrite still loads.
+        assert!(read_model(with_eta(&text, |_| {}).as_bytes()).is_ok());
+    }
+
+    #[test]
+    fn rejects_absurd_section_dimensions() {
+        let model = fitted_model();
+        let mut buf = Vec::new();
+        write_model(&model, &mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        for section in ["theta", "eta"] {
+            let damaged: Vec<String> = text
+                .lines()
+                .map(|l| {
+                    if l.split_whitespace().next() == Some(section) {
+                        format!("{section} {} 3", usize::MAX / 2)
+                    } else {
+                        l.to_owned()
+                    }
+                })
+                .collect();
+            assert!(
+                matches!(
+                    read_model(damaged.join("\n").as_bytes()),
+                    Err(ModelIoError::Format(_))
+                ),
+                "{section}"
+            );
         }
     }
 

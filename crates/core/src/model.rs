@@ -24,9 +24,9 @@ use std::time::Instant;
 
 /// Resident bytes of the three count planes (dense `Vec<u32>` pairs or
 /// shared atomic planes, whichever the resolved runtime installed) —
-/// at V=1M the `Z × W` plane is the model's dominant allocation, so
-/// this records what a fit actually costs in memory. Padded atomic
-/// layouts include their alignment slack.
+/// at V=1M the `W × Z` word-topic plane is the model's dominant
+/// allocation, so this records what a fit actually costs in memory.
+/// Padded atomic layouts include their alignment slack.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PlaneFootprint {
     /// `n_uc` plane + `n_u` marginal bytes.
@@ -734,13 +734,14 @@ fn extract_model(
                 .collect()
         })
         .collect();
-    let phi: Vec<Vec<f64>> = (0..cfg.n_topics)
-        .map(|z| {
-            (0..graph.vocab_size())
-                .map(|w| state.phi_hat(z, w, beta))
-                .collect()
-        })
-        .collect();
+    // Word-outer over the word-major plane: each word's |Z| counts are
+    // read once, contiguously, and scattered across the φ rows.
+    let mut phi: Vec<Vec<f64>> = vec![vec![0.0; graph.vocab_size()]; cfg.n_topics];
+    for w in 0..graph.vocab_size() {
+        for (z, row) in phi.iter_mut().enumerate() {
+            row[w] = state.phi_hat(z, w, beta);
+        }
+    }
     let topic_popularity: Vec<Vec<f64>> = (0..state.n_timestamps)
         .map(|t| {
             (0..cfg.n_topics)

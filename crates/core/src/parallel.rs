@@ -77,11 +77,13 @@
 //! * **Locality-tiled sweep scheduling.** With
 //!   [`crate::config::CpdConfig::sweep_tiling`] set, each worker
 //!   reorders its document queue once at spawn into word-range tiles
-//!   (by median word id), so successive token updates hit warm `n_zw`
-//!   stripes instead of striding the whole `Z × W` plane — this only
-//!   permutes the worker's visit order, which the approximate-Gibbs
-//!   relaxation already tolerates; the draw-identical runtimes keep
-//!   user order.
+//!   (by median word id). The `n_zw` plane is word-major (`W × Z`), so
+//!   a word range is one contiguous plane range: successive token
+//!   updates stay inside that warm slice (and mostly inside the
+//!   worker's own stripes) instead of scattering over the whole plane —
+//!   this only permutes the worker's visit order, which the
+//!   approximate-Gibbs relaxation already tolerates; the draw-identical
+//!   runtimes keep user order.
 //!
 //! * **`Auto`** (the config default): not a fourth runtime but a
 //!   per-fit resolution step — [`choose_runtime`] inspects the corpus
@@ -532,14 +534,15 @@ impl FirstTouchPlan {
     }
 }
 
-/// Word-range stripe (in `n_zw` plane bytes) each locality tile
-/// targets: roughly an LLC-friendly working set per tile, so the tile's
-/// token updates keep hitting warm lines.
+/// Bytes of the `n_zw` plane each locality tile targets: roughly an
+/// LLC-friendly working set per tile, so the tile's token updates keep
+/// hitting warm lines.
 const TILE_TARGET_BYTES: usize = 1 << 21;
 
 /// Order a worker's documents into word-range tiles: tile key = the
-/// document's median word id divided by the tile width (sized so one
-/// tile's `Z`-row slice of `n_zw` is ~[`TILE_TARGET_BYTES`]). The sort
+/// document's median word id divided by the tile width. The plane is
+/// word-major, so a tile's words own one contiguous `tile_words × |Z|`
+/// range of `n_zw`, sized to ~[`TILE_TARGET_BYTES`]. The sort
 /// is stable, so documents keep user order within a tile and the queue
 /// is deterministic — every owned document appears exactly once, only
 /// the visit order changes.
@@ -839,8 +842,9 @@ impl AtomicOpsBreakdown {
 
 /// Per-array worker-side fold seconds of one barrier (surfaced through
 /// `FitDiagnostics::fold_seconds`). Arrays folded on different workers
-/// overlap in wall time; the `Z × W` fold runs on a worker of its own
-/// (when the pool has more than one), the small arrays share the rest.
+/// overlap in wall time; the `W × Z` `n_zw` fold runs on a worker of
+/// its own (when the pool has more than one), the small arrays share
+/// the rest.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FoldBreakdown {
     /// Assignment replay (`doc_community`/`doc_topic`).
@@ -1185,7 +1189,7 @@ impl<'scope> WorkerPool<'scope> {
         let replay = CountRefresh::decide(state, sizes, n_workers);
         let mut tasks = Vec::with_capacity(5);
         // Dense planes join the fold (word-topic kept first: the
-        // scheduler below gives the dominant `Z × W` fold a worker of
+        // scheduler below gives the dominant `W × Z` fold a worker of
         // its own). A shared atomic plane received every increment
         // during the sweep already and never appears here.
         if let Some((n_zw, n_z)) = state.word_topic.take_dense() {
@@ -1209,7 +1213,7 @@ impl<'scope> WorkerPool<'scope> {
             Vec::new(),
             !replay.n_tz,
         ));
-        // Schedule: the `Z × W` fold dwarfs every other array, so with
+        // Schedule: the `W × Z` fold dwarfs every other array, so with
         // more than one worker it gets a bucket to itself and the small
         // arrays round-robin over the remaining workers.
         let mut buckets: Vec<Vec<FoldTask>> = (0..n_workers).map(|_| Vec::new()).collect();

@@ -1,6 +1,10 @@
 //! Community profile types: the content profile `θ_c` (Def. 4) and the
 //! diffusion profile `η_c` (Def. 5), plus the fitted-model container.
 
+/// How far a stored η source row's sum may stray from 1 in
+/// [`Eta::from_normalised`].
+const ROW_SUM_TOLERANCE: f64 = 1e-9;
+
 /// The diffusion profile tensor `η ∈ R^{C x C x Z}`, row-normalised per
 /// source community: `Σ_{c', z} η_{c,c',z} = 1`.
 #[derive(Debug, Clone)]
@@ -44,6 +48,49 @@ impl Eta {
             n_topics,
             values,
         }
+    }
+
+    /// Wrap stored, already row-normalised values (`c`-major, then
+    /// `c'`, then `z`) exactly as given — the snapshot loader's
+    /// constructor, so a save → load round trip keeps every bit.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first offence when `values` does not hold
+    /// `|C|·|C|·|Z|` cells, a cell is not finite and non-negative, or a
+    /// source row does not sum to 1 within `1e-9`.
+    pub fn from_normalised(
+        n_communities: usize,
+        n_topics: usize,
+        values: Vec<f64>,
+    ) -> Result<Self, String> {
+        let cells = n_communities
+            .checked_mul(n_communities)
+            .and_then(|n| n.checked_mul(n_topics));
+        if cells != Some(values.len()) {
+            return Err(format!(
+                "eta holds {} values, expected {n_communities}·{n_communities}·{n_topics}",
+                values.len()
+            ));
+        }
+        let row = n_communities * n_topics;
+        for (c, cells) in values.chunks(row.max(1)).enumerate() {
+            if let Some(i) = cells.iter().position(|v| !(v.is_finite() && *v >= 0.0)) {
+                return Err(format!(
+                    "eta row {c} cell {i} is {}, not a finite non-negative weight",
+                    cells[i]
+                ));
+            }
+            let sum: f64 = cells.iter().sum();
+            if (sum - 1.0).abs() > ROW_SUM_TOLERANCE {
+                return Err(format!("eta row {c} sums to {sum}, not 1"));
+            }
+        }
+        Ok(Self {
+            n_communities,
+            n_topics,
+            values,
+        })
     }
 
     /// Number of communities.
@@ -184,6 +231,24 @@ mod tests {
         assert!((e.at(0, 1, 0) - 0.3).abs() < 1e-12);
         // Row 1 had no counts: uniform.
         assert!((e.at(1, 0, 0) - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn from_normalised_keeps_bits_and_rejects_bad_rows() {
+        // 2 communities, 1 topic: rows (0.1, 0.9) and (0.7, 0.3).
+        let good = vec![0.1, 0.9, 0.7, 0.3];
+        let e = Eta::from_normalised(2, 1, good.clone()).unwrap();
+        assert_eq!(e.as_slice(), &good[..]);
+        for (what, values) in [
+            ("negative cell, row sums to 1", vec![-0.5, 1.5, 0.7, 0.3]),
+            ("NaN cell", vec![0.1, 0.9, f64::NAN, 0.3]),
+            ("infinite cell", vec![0.1, f64::INFINITY, 0.7, 0.3]),
+            ("row sum off", vec![0.1, 0.9, 0.7, 0.31]),
+            ("wrong length", vec![0.1, 0.9, 1.0]),
+        ] {
+            assert!(Eta::from_normalised(2, 1, values).is_err(), "{what}");
+        }
+        assert!(Eta::from_normalised(usize::MAX, 2, Vec::new()).is_err());
     }
 
     #[test]

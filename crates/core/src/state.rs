@@ -50,8 +50,11 @@ pub struct CpdState {
     /// `C x Z` community-topic counts `n_cz` plus the `n_c` (documents
     /// per community) marginal, same backend selection as `user_comm`.
     pub comm_topic: PairCounts,
-    /// `Z x W` word-topic counts `n_zw` plus the `n_z` marginal, same
-    /// backend selection as `user_comm`.
+    /// Word-major `W x Z` word-topic counts `n_zw` plus the `n_z`
+    /// marginal, same backend selection as `user_comm`. Word `w`'s `|Z|`
+    /// topic counts are one contiguous run starting at
+    /// [`CpdState::zw_slot`]`(|Z|, w, 0)`, so a token's candidate scan
+    /// reads a single 200-byte stretch at `|Z| = 50`.
     pub word_topic: PairCounts,
     /// `T x Z` — documents with topic `z` at time `t` (topic popularity).
     pub n_tz: Vec<u32>,
@@ -81,7 +84,7 @@ impl CpdState {
             doc_topic: vec![0; d_n],
             user_comm: PairCounts::dense(graph.n_users() * c_n, graph.n_users()),
             comm_topic: PairCounts::dense(c_n * z_n, c_n),
-            word_topic: PairCounts::dense(z_n * w_n, z_n),
+            word_topic: PairCounts::dense(w_n * z_n, z_n),
             n_tz: vec![0; t_n * z_n],
             n_t: vec![0; t_n],
             // PG(1, 0) has mean 1/4; a fine starting point before the
@@ -109,7 +112,6 @@ impl CpdState {
     pub fn rebuild_counts(&mut self, graph: &SocialGraph) {
         let c_n = self.n_communities;
         let z_n = self.n_topics;
-        let w_n = self.vocab_size;
         self.user_comm.reset();
         self.comm_topic.reset();
         self.word_topic.reset();
@@ -125,12 +127,20 @@ impl CpdState {
             self.comm_topic.add(c * z_n + z, 1);
             self.comm_topic.add_marginal(c, 1);
             for w in &doc.words {
-                self.word_topic.add(z * w_n + w.index(), 1);
+                self.word_topic.add(Self::zw_slot(z_n, w.index(), z), 1);
             }
             self.word_topic.add_marginal(z, doc.words.len() as i32);
             self.n_tz[t * z_n + z] += 1;
             self.n_t[t] += 1;
         }
+    }
+
+    /// Flat slot of `n_zw[w, z]` in the word-major word-topic plane:
+    /// `w·|Z| + z`. Every reader and writer of `word_topic` (and of the
+    /// `n_zw` delta log) addresses the plane through this one helper.
+    #[inline]
+    pub fn zw_slot(n_topics: usize, w: usize, z: usize) -> usize {
+        w * n_topics + z
     }
 
     /// `n_uc` at flat index `u * |C| + c`.
@@ -181,7 +191,7 @@ impl CpdState {
     /// `φ̂_{z,w} = (n_zw + β) / (n_z + |W| β)` (Sect. 4.2).
     #[inline]
     pub fn phi_hat(&self, z: usize, w: usize, beta: f64) -> f64 {
-        (self.word_topic.get(z * self.vocab_size + w) as f64 + beta)
+        (self.word_topic.get(Self::zw_slot(self.n_topics, w, z)) as f64 + beta)
             / (self.word_topic.marginal(z) as f64 + self.vocab_size as f64 * beta)
     }
 
@@ -221,7 +231,7 @@ impl CpdState {
         fresh.user_comm = PairCounts::dense(self.user_comm.len_main(), graph.n_users());
         fresh.comm_topic =
             PairCounts::dense(self.n_communities * self.n_topics, self.n_communities);
-        fresh.word_topic = PairCounts::dense(self.n_topics * self.vocab_size, self.n_topics);
+        fresh.word_topic = PairCounts::dense(self.vocab_size * self.n_topics, self.n_topics);
         fresh.rebuild_counts(graph);
         if self.n_tz != fresh.n_tz {
             return Err("n_tz counts diverged from assignments".into());
@@ -290,7 +300,6 @@ impl DeltaSink for NoDelta {
 /// entries.
 #[derive(Debug, Clone)]
 pub struct CountDelta {
-    vocab_size: usize,
     n_topics_dim: usize,
     n_communities_dim: usize,
     /// `false` when `n_zw`/`n_z` live on a shared plane: word-topic
@@ -319,7 +328,6 @@ impl CountDelta {
     /// receives those increments directly.
     pub fn new(state: &CpdState) -> Self {
         Self {
-            vocab_size: state.vocab_size,
             n_topics_dim: state.n_topics,
             n_communities_dim: state.n_communities,
             track_word_topic: !state.word_topic.is_shared(),
@@ -382,15 +390,16 @@ impl CountDelta {
         z_new: usize,
     ) {
         let z_n = self.n_topics_dim;
-        let w_n = self.vocab_size;
         if self.track_comm_topic {
             self.n_cz.push(((c * z_n + z_old) as u32, -1));
             self.n_cz.push(((c * z_n + z_new) as u32, 1));
         }
         if self.track_word_topic {
             for w in words {
-                self.n_zw.push(((z_old * w_n + w.index()) as u32, -1));
-                self.n_zw.push(((z_new * w_n + w.index()) as u32, 1));
+                self.n_zw
+                    .push((CpdState::zw_slot(z_n, w.index(), z_old) as u32, -1));
+                self.n_zw
+                    .push((CpdState::zw_slot(z_n, w.index(), z_new) as u32, 1));
             }
             self.n_z[z_old] -= words.len() as i32;
             self.n_z[z_new] += words.len() as i32;
@@ -870,15 +879,19 @@ mod tests {
         z_new: u32,
     ) {
         let doc = &g.docs()[d];
-        let (c_n, z_n, w_n) = (state.n_communities, state.n_topics, state.vocab_size);
+        let (c_n, z_n) = (state.n_communities, state.n_topics);
         let c = state.doc_community[d] as usize;
         let z_old = state.doc_topic[d] as usize;
         let t = doc.timestamp as usize;
         state.comm_topic.add(c * z_n + z_old, -1);
         state.comm_topic.add(c * z_n + z_new as usize, 1);
         for w in &doc.words {
-            state.word_topic.add(z_old * w_n + w.index(), -1);
-            state.word_topic.add(z_new as usize * w_n + w.index(), 1);
+            state
+                .word_topic
+                .add(CpdState::zw_slot(z_n, w.index(), z_old), -1);
+            state
+                .word_topic
+                .add(CpdState::zw_slot(z_n, w.index(), z_new as usize), 1);
         }
         state
             .word_topic

@@ -1,7 +1,7 @@
 //! Collapsed Gibbs sampling for LDA.
 
-use cpd_prob::categorical::sample_index;
 use cpd_prob::rng::seeded_rng;
+use rand::Rng;
 use social_graph::WordId;
 
 /// LDA hyperparameters and run length.
@@ -54,16 +54,28 @@ pub struct LdaModel {
     assignments: Vec<Vec<u32>>,
     /// Flattened `D x Z` document-topic counts.
     n_dz: Vec<u32>,
-    /// Flattened `Z x W` topic-word counts.
-    n_zw: Vec<u32>,
+    /// Word-major `W x Z` topic-word counts: word `w`'s `|Z|` topic
+    /// counts are the contiguous run `n_wz[w·|Z| .. (w+1)·|Z|]`, so a
+    /// token's topic draw reads one stretch of the plane.
+    n_wz: Vec<u32>,
     /// Per-topic totals.
     n_z: Vec<u32>,
 }
 
 impl Lda {
     /// Trainer with `config`.
+    ///
+    /// # Panics
+    ///
+    /// If `n_topics` is 0 or either Dirichlet prior is not positive and
+    /// finite (the sampler's weights rely on both being positive).
     pub fn new(config: LdaConfig) -> Self {
         assert!(config.n_topics >= 1);
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        assert!(
+            positive(config.resolved_alpha()) && positive(config.beta),
+            "LDA priors must be positive and finite"
+        );
         Self { config }
     }
 
@@ -82,47 +94,80 @@ impl Lda {
             beta,
             assignments: docs.iter().map(|d| vec![0u32; d.as_ref().len()]).collect(),
             n_dz: vec![0u32; docs.len() * z],
-            n_zw: vec![0u32; z * vocab_size],
+            n_wz: vec![0u32; vocab_size * z],
             n_z: vec![0u32; z],
         };
 
         // Random initialisation.
         for (d, doc) in docs.iter().enumerate() {
             for (i, w) in doc.as_ref().iter().enumerate() {
-                let t = (rand::Rng::gen_range(&mut rng, 0..z)) as u32;
-                model.assignments[d][i] = t;
-                model.n_dz[d * z + t as usize] += 1;
-                model.n_zw[t as usize * vocab_size + w.index()] += 1;
-                model.n_z[t as usize] += 1;
+                let t = rng.gen_range(0..z);
+                model.assignments[d][i] = t as u32;
+                model.n_dz[d * z + t] += 1;
+                model.n_wz[w.index() * z + t] += 1;
+                model.n_z[t] += 1;
             }
         }
 
+        // Per-topic denominators `n_z + |W|β`, refreshed whenever `n_z`
+        // moves; each is the expression the weights would otherwise
+        // evaluate inline, so the cached values carry the same bits.
+        let denom_of = |n: u32| n as f64 + vocab_size as f64 * beta;
+        let mut denom: Vec<f64> = model.n_z.iter().map(|&n| denom_of(n)).collect();
         let mut weights = vec![0.0f64; z];
         for _ in 0..self.config.n_iters {
             for (d, doc) in docs.iter().enumerate() {
+                let dz = d * z..(d + 1) * z;
                 for (i, w) in doc.as_ref().iter().enumerate() {
+                    let wz = w.index() * z..(w.index() + 1) * z;
                     let old = model.assignments[d][i] as usize;
-                    model.n_dz[d * z + old] -= 1;
-                    model.n_zw[old * vocab_size + w.index()] -= 1;
+                    model.n_dz[dz.start + old] -= 1;
+                    model.n_wz[wz.start + old] -= 1;
                     model.n_z[old] -= 1;
+                    denom[old] = denom_of(model.n_z[old]);
 
-                    for (t, wt) in weights.iter_mut().enumerate() {
-                        let doc_part = model.n_dz[d * z + t] as f64 + alpha;
-                        let word_part = (model.n_zw[t * vocab_size + w.index()] as f64 + beta)
-                            / (model.n_z[t] as f64 + vocab_size as f64 * beta);
-                        *wt = doc_part * word_part;
+                    // Fill the weights and their total in one pass.
+                    let mut total = 0.0f64;
+                    for (((wt, &n_dt), &n_wt), &den) in weights
+                        .iter_mut()
+                        .zip(&model.n_dz[dz.clone()])
+                        .zip(&model.n_wz[wz.clone()])
+                        .zip(&denom)
+                    {
+                        *wt = (n_dt as f64 + alpha) * ((n_wt as f64 + beta) / den);
+                        total += *wt;
                     }
-                    let new = sample_index(&mut rng, &weights);
+                    let new = draw_positive(&mut rng, &weights, total);
 
                     model.assignments[d][i] = new as u32;
-                    model.n_dz[d * z + new] += 1;
-                    model.n_zw[new * vocab_size + w.index()] += 1;
+                    model.n_dz[dz.start + new] += 1;
+                    model.n_wz[wz.start + new] += 1;
                     model.n_z[new] += 1;
+                    denom[new] = denom_of(model.n_z[new]);
                 }
             }
         }
         model
     }
+}
+
+/// Draw an index proportional to `weights`, every one of which is
+/// finite and positive, given their in-order sum `total`.
+///
+/// For such weights this is `cpd_prob::categorical::sample_index` with
+/// its validity filters dropped: the same single uniform scaled by the
+/// same total, the same subtraction scan, the same last-index fallback
+/// for floating-point slack — so the draws are identical.
+fn draw_positive<R: Rng + ?Sized>(rng: &mut R, weights: &[f64], total: f64) -> usize {
+    debug_assert!(weights.iter().all(|w| w.is_finite() && *w > 0.0));
+    let mut u = rng.gen::<f64>() * total;
+    for (i, &w) in weights.iter().enumerate() {
+        u -= w;
+        if u <= 0.0 {
+            return i;
+        }
+    }
+    weights.len() - 1
 }
 
 impl LdaModel {
@@ -134,6 +179,11 @@ impl LdaModel {
     /// Vocabulary size.
     pub fn vocab_size(&self) -> usize {
         self.vocab_size
+    }
+
+    /// Per-document token-topic assignments, in token order.
+    pub fn assignments(&self) -> &[Vec<u32>] {
+        &self.assignments
     }
 
     /// Document-topic distribution `θ*_d` (smoothed, sums to 1).
@@ -148,10 +198,10 @@ impl LdaModel {
 
     /// Topic-word distribution `φ_z` (smoothed, sums to 1).
     pub fn phi(&self, t: usize) -> Vec<f64> {
-        let w = self.vocab_size;
-        let denom = self.n_z[t] as f64 + w as f64 * self.beta;
-        (0..w)
-            .map(|i| (self.n_zw[t * w + i] as f64 + self.beta) / denom)
+        let z = self.n_topics;
+        let denom = self.n_z[t] as f64 + self.vocab_size as f64 * self.beta;
+        (0..self.vocab_size)
+            .map(|w| (self.n_wz[w * z + t] as f64 + self.beta) / denom)
             .collect()
     }
 
@@ -174,11 +224,11 @@ impl LdaModel {
 
     /// Top-`k` word ids for topic `t` by probability.
     pub fn top_words(&self, t: usize, k: usize) -> Vec<WordId> {
-        let w = self.vocab_size;
-        let mut idx: Vec<usize> = (0..w).collect();
+        let z = self.n_topics;
+        let mut idx: Vec<usize> = (0..self.vocab_size).collect();
         idx.sort_by(|&a, &b| {
-            self.n_zw[t * w + b]
-                .cmp(&self.n_zw[t * w + a])
+            self.n_wz[b * z + t]
+                .cmp(&self.n_wz[a * z + t])
                 .then(a.cmp(&b))
         });
         idx.into_iter().take(k).map(WordId::from).collect()
