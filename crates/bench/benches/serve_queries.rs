@@ -1,6 +1,7 @@
 //! Serving-path benchmarks: index-backed queries vs the dense-scan
-//! reference, runtime throughput across worker counts, and fold-in
-//! batch latency.
+//! reference, runtime throughput across worker counts, fold-in batch
+//! latency, and the cold start every server and every hot reload pays
+//! (snapshot save, snapshot load, index build).
 //!
 //! The headline comparison runs at the paper's serving shape —
 //! `|C| = 50` communities over a 60k-term vocabulary — where the dense
@@ -11,10 +12,13 @@
 //! on the shapes, and fitting a 50×50×60k model in a bench harness
 //! would dominate the run for no extra signal.
 //!
-//! Results land in `BENCH_serve_queries.json`; `CPD_BENCH_SMOKE=1` runs
-//! a tiny single-iteration version for CI (distinct `_smoke` group
-//! names so recorded results are not clobbered).
+//! Results land in `BENCH_<group>.json` (`serve_queries`,
+//! `serve_runtime`, `serve_foldin`, `serve_cold_start`);
+//! `CPD_BENCH_SMOKE=1` runs a tiny single-iteration version for CI
+//! (distinct `_smoke` group names so recorded results are not
+//! clobbered).
 
+use cpd_core::io::{load_model, save_model};
 use cpd_core::{rank_communities, CpdConfig, CpdModel, Eta};
 use cpd_prob::rng::seeded_rng;
 use cpd_serve::{FoldInItem, ProfileIndex, QueryRequest, ServeOptions, ServeRuntime};
@@ -123,8 +127,8 @@ fn bench_index_vs_dense(c: &mut Criterion) {
             }
         })
     });
-    // Top-words: the dense path sorts all V entries per call, the index
-    // reads a presorted table.
+    // Top-words: the dense path scans all V entries per call (one pass
+    // keeping the best k), the index reads a presorted table.
     group.bench_function("dense_top_words", |b| {
         b.iter(|| {
             for z in 0..z_n.min(8) {
@@ -223,10 +227,36 @@ fn bench_foldin_batch(c: &mut Criterion) {
     runtime.shutdown();
 }
 
+/// The cold start of a server and of every hot reload: write the
+/// snapshot, read it back, build the index. `index_build` includes one
+/// clone of the model, since the build takes it by value.
+fn bench_cold_start(c: &mut Criterion) {
+    let (c_n, z_n, v_n, u_n) = shape();
+    let model = synthetic_model(c_n, z_n, v_n, u_n, 0xC01D);
+    let config = CpdConfig::new(c_n, z_n);
+    let path =
+        std::env::temp_dir().join(format!("cpd-bench-cold-start-{}.cpd", std::process::id()));
+
+    let mut group = c.benchmark_group(group_name("serve_cold_start"));
+    group.sample_size(10);
+    group.bench_function("snapshot_save", |b| {
+        b.iter(|| save_model(&model, &path).expect("snapshot save"))
+    });
+    group.bench_function("snapshot_load", |b| {
+        b.iter(|| load_model(&path).expect("snapshot load"))
+    });
+    group.bench_function("index_build", |b| {
+        b.iter(|| ProfileIndex::build(model.clone(), &config))
+    });
+    group.finish();
+    std::fs::remove_file(&path).ok();
+}
+
 criterion_group!(
     benches,
     bench_index_vs_dense,
     bench_runtime_throughput,
-    bench_foldin_batch
+    bench_foldin_batch,
+    bench_cold_start
 );
 criterion_main!(benches);

@@ -59,6 +59,8 @@ fn workspace_root() -> PathBuf {
 
 /// Extract `name → median_ns` from the criterion stub's report format:
 /// one `{"name": "...", "median_ns": N, ...}` object per benchmark.
+/// Everything else — the group name, the `"machine"` stamp — is
+/// ignored.
 /// Hand-rolled so the guard needs no JSON dependency; the stub's writer
 /// is the only producer, so the shape is stable.
 fn parse_medians(json: &str) -> BTreeMap<String, f64> {
@@ -227,5 +229,35 @@ fn main() {
             eprintln!("bench_guard: median regression > {MAX_RATIO}x: {r}");
         }
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const CELLS: &str = r#"  "benchmarks": [
+    {"name": "snapshot_save", "median_ns": 1520.5, "mean_ns": 1600.0, "min_ns": 1400.0, "samples": 2, "iters_per_sample": 3},
+    {"name": "index_build", "median_ns": 98000.0, "mean_ns": 99000.0, "min_ns": 97000.0, "samples": 2, "iters_per_sample": 1}
+  ]
+}
+"#;
+
+    #[test]
+    fn machine_stamp_does_not_change_the_medians() {
+        let plain = format!("{{\n  \"group\": \"g_smoke\",\n{CELLS}");
+        let stamped = format!(
+            "{{\n  \"group\": \"g_smoke\",\n  \"machine\": {{\"available_parallelism\": 2, \
+             \"rustc\": \"rustc 1.95.0 (59807616e 2026-04-14)\", \"commit\": \"unknown\"}},\n{CELLS}"
+        );
+        let medians = parse_medians(&stamped);
+        assert_eq!(medians, parse_medians(&plain));
+        assert_eq!(
+            medians.into_iter().collect::<Vec<_>>(),
+            vec![
+                ("index_build".to_string(), 98000.0),
+                ("snapshot_save".to_string(), 1520.5)
+            ]
+        );
     }
 }

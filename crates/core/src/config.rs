@@ -109,7 +109,8 @@ pub struct CpdConfig {
     pub negative_ratio: f64,
     /// Cap on positive links used per `ν` fit (0 = all).
     pub nu_max_positives: usize,
-    /// Smoothing added to `η` cells before row normalisation.
+    /// Smoothing added to `η` cells before row normalisation; must be
+    /// finite and positive.
     pub eta_smoothing: f64,
     /// Cap on friendship neighbours examined per document sample
     /// (0 = no cap). High-degree users otherwise dominate the sweep cost.
@@ -283,6 +284,11 @@ impl CpdConfig {
         if self.negative_ratio < 0.0 {
             return Err("negative_ratio must be non-negative".into());
         }
+        // At 0 a community with no diffusion links gets a 0/0 η row,
+        // which the snapshot loader would then refuse.
+        if !(self.eta_smoothing.is_finite() && self.eta_smoothing > 0.0) {
+            return Err("eta_smoothing must be finite and positive".into());
+        }
         if let Some(t) = self.threads {
             if t == 0 {
                 return Err("threads must be >= 1 when set".into());
@@ -344,5 +350,10 @@ mod tests {
         c = CpdConfig::new(10, 10);
         c.alpha = Some(-1.0);
         assert!(c.validate().is_err());
+        for eta_smoothing in [0.0, -0.1, f64::NAN] {
+            c = CpdConfig::new(10, 10);
+            c.eta_smoothing = eta_smoothing;
+            assert!(c.validate().is_err(), "eta_smoothing {eta_smoothing}");
+        }
     }
 }

@@ -1,12 +1,56 @@
-//! Model persistence: save and load a fitted [`CpdModel`] in a
-//! self-describing, line-oriented text format.
+//! Model persistence: save and load a fitted [`CpdModel`] as a
+//! checksummed binary snapshot, `cpd-model v2`.
 //!
 //! Profiling is done **once, offline** and then serves multiple
 //! applications (remark 1, Sect. 1 of the paper), so a fitted model
-//! needs to outlive the process. `serde_json` is not on the offline
-//! dependency allowlist, so the format is a small hand-rolled section
-//! layout; `f64` values use Rust's shortest-round-trip formatting, so a
-//! round trip is bit-exact.
+//! needs to outlive the process, and every serving cold start and hot
+//! reload reads it back. The snapshot is the model's own numbers in
+//! raw little-endian form, section after section:
+//!
+//! | section | dimensions (`u64` LE each) | payload |
+//! |---|---|---|
+//! | magic | — | the line `cpd-model v2\n` |
+//! | `pi` | rows `U`, width `C` | `U·C` × `f64` LE, row-major |
+//! | `theta` | rows `C`, width `Z` | `C·Z` × `f64` LE, row-major |
+//! | `phi` | rows `Z`, width `V` | `Z·V` × `f64` LE, row-major |
+//! | `eta` | `C`, `Z` | `C·C·Z` × `f64` LE (`c`-major, then `c'`, then `z`) |
+//! | `nu` | length `F` | `F` × `f64` LE |
+//! | `topic_popularity` | rows `T`, width `Z` | `T·Z` × `f64` LE, row-major |
+//! | `doc_community` | length `D` | `D` × `u32` LE |
+//! | `doc_topic` | length `D` | `D` × `u32` LE |
+//! | checksum | — | one `u64` LE |
+//!
+//! The checksum is FNV-1a over every byte after the magic line, taken
+//! as consecutive 64-bit little-endian words (a final partial word,
+//! possible only in a damaged file, is zero-padded). Nothing follows
+//! it.
+//!
+//! **Bit-exact.** Every `f64` is stored as its IEEE-754 bits, so a
+//! [`write_model`] → [`read_model`] round trip returns the model bit
+//! for bit, `η` included: nothing is parsed, rounded or re-normalised.
+//!
+//! **Damage is a typed error.** A truncated or extended file, one with a
+//! flipped bit, or one with absurd dimensions loads as
+//! [`ModelIoError::Format`] (or [`ModelIoError::Io`] when the reader
+//! itself fails), never a panic and never `Ok`:
+//!
+//! * the reader moves payload in bounded chunks and allocates only for
+//!   bytes it has actually read, so no header count sizes an
+//!   allocation, and a matrix of zero-width rows must have no rows, so
+//!   no header can make it loop without reading;
+//! * each checksum step (xor a word, multiply by an odd prime) is a
+//!   bijection, so a changed word — any single flipped bit — always
+//!   changes the sum;
+//! * the loaded model then passes the same semantic checks as ever:
+//!   `η` rows through [`Eta::from_normalised`], the `nu` length,
+//!   matching doc lengths, and every matrix's width and finiteness.
+//!
+//! **One format.** The writer writes only v2 and the reader reads only
+//! v2; a `cpd-model v1` text snapshot, or any other version, gets a
+//! typed "unsupported model format version … re-save" error. A second
+//! reader would be a second damage surface to sweep, kept for no
+//! caller: every snapshot is written by [`save_model`] at the end of a
+//! fit, and a fit saves in well under a second.
 
 use crate::features::N_FEATURES;
 use crate::profiles::{CpdModel, Eta};
@@ -14,8 +58,16 @@ use std::fmt;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-/// Magic header of the format.
-const MAGIC: &str = "cpd-model v1";
+/// Magic line of the format (written with a trailing `\n`).
+const MAGIC: &str = "cpd-model v2";
+
+/// Longest first line the reader examines before calling the input
+/// "not a snapshot".
+const MAX_MAGIC_LINE: u64 = 64;
+
+/// Payload bytes moved per read or write: a multiple of both element
+/// sizes, and bounded whatever a header says.
+const CHUNK_BYTES: usize = 64 * 1024;
 
 /// Errors loading a persisted model.
 #[derive(Debug)]
@@ -63,39 +115,48 @@ impl From<std::io::Error> for ModelIoError {
 }
 
 /// Write `model` to `writer`.
+///
+/// # Errors
+///
+/// [`ModelIoError::Io`] when `writer` fails; [`ModelIoError::Format`]
+/// when a matrix is ragged or has rows of width 0, which the layout
+/// cannot represent (and the loader would refuse).
 pub fn write_model<W: Write>(model: &CpdModel, writer: W) -> Result<(), ModelIoError> {
     let mut w = BufWriter::new(writer);
     writeln!(w, "{MAGIC}")?;
-    write_matrix(&mut w, "pi", &model.pi)?;
-    write_matrix(&mut w, "theta", &model.theta)?;
-    write_matrix(&mut w, "phi", &model.phi)?;
-    writeln!(
-        w,
-        "eta {} {}",
-        model.eta.n_communities(),
-        model.eta.n_topics()
-    )?;
-    write_row(&mut w, model.eta.as_slice())?;
-    writeln!(w, "nu {}", model.nu.len())?;
-    write_row(&mut w, &model.nu)?;
-    write_matrix(&mut w, "topic_popularity", &model.topic_popularity)?;
-    writeln!(w, "doc_community {}", model.doc_community.len())?;
-    write_u32_row(&mut w, &model.doc_community)?;
-    writeln!(w, "doc_topic {}", model.doc_topic.len())?;
-    write_u32_row(&mut w, &model.doc_topic)?;
-    w.flush()?;
+    let mut w = SnapshotWriter {
+        inner: w,
+        sum: Fnv64::new(),
+        chunk: vec![0; CHUNK_BYTES],
+    };
+    w.matrix("pi", &model.pi)?;
+    w.matrix("theta", &model.theta)?;
+    w.matrix("phi", &model.phi)?;
+    w.dim(model.eta.n_communities())?;
+    w.dim(model.eta.n_topics())?;
+    w.values(model.eta.as_slice(), f64::to_le_bytes)?;
+    w.dim(model.nu.len())?;
+    w.values(&model.nu, f64::to_le_bytes)?;
+    w.matrix("topic_popularity", &model.topic_popularity)?;
+    w.dim(model.doc_community.len())?;
+    w.values(&model.doc_community, u32::to_le_bytes)?;
+    w.dim(model.doc_topic.len())?;
+    w.values(&model.doc_topic, u32::to_le_bytes)?;
+    let sum = w.sum.finish();
+    w.inner.write_all(&sum.to_le_bytes())?;
+    w.inner.flush()?;
     Ok(())
 }
 
 /// Save `model` to a file at `path`, **crash-safely**: the bytes are
 /// written to a process-unique `.tmp` sibling in the same directory,
 /// synced, and then renamed into place. A process killed mid-save can
-/// leave a stale `*.tmp` file behind but never a torn `cpd-model v1`
-/// file at `path` — the serving side ([`load_model`]) either sees the
-/// old complete snapshot or the new one. The temp name carries the pid
-/// and a counter, so concurrent savers (e.g. overlapping refit jobs)
-/// cannot interleave writes in one temp file; last rename wins with a
-/// complete snapshot.
+/// leave a stale `*.tmp` file behind but never a torn snapshot at
+/// `path` — the serving side ([`load_model`]) either sees the old
+/// complete snapshot or the new one. The temp name carries the pid and
+/// a counter, so concurrent savers (e.g. overlapping refit jobs) cannot
+/// interleave writes in one temp file; last rename wins with a complete
+/// snapshot.
 pub fn save_model(model: &CpdModel, path: impl AsRef<Path>) -> Result<(), ModelIoError> {
     static SAVE_COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let path = path.as_ref();
@@ -122,54 +183,47 @@ pub fn save_model(model: &CpdModel, path: impl AsRef<Path>) -> Result<(), ModelI
 }
 
 /// Read a model from `reader`.
+///
+/// # Errors
+///
+/// [`ModelIoError::Format`] for anything that is not an intact
+/// `cpd-model v2` snapshot of a valid model (see the module docs);
+/// [`ModelIoError::Io`] when `reader` fails.
 pub fn read_model<R: Read>(reader: R) -> Result<CpdModel, ModelIoError> {
-    let mut lines = BufReader::new(reader).lines();
-    let mut next_line = move || -> Result<String, ModelIoError> {
-        lines
-            .next()
-            .ok_or_else(|| ModelIoError::Format("unexpected end of file".into()))?
-            .map_err(ModelIoError::from)
+    let mut inner = BufReader::new(reader);
+    read_magic(&mut inner)?;
+    let mut r = SnapshotReader {
+        inner,
+        sum: Fnv64::new(),
+        chunk: vec![0; CHUNK_BYTES],
     };
-    let header = next_line()?;
-    if header != MAGIC {
-        // Distinguish "not our file at all" from "our file, a version
-        // this build does not speak" — the latter shows up whenever the
-        // format (or the serve index built on it) bumps its version and
-        // an old reader meets a new snapshot.
-        if header.starts_with("cpd-model v") {
-            return Err(ModelIoError::Format(format!(
-                "unsupported model format version `{header}` (this build reads `{MAGIC}`; \
-                 re-save the model with a matching build or upgrade this reader)"
-            )));
-        }
-        return Err(ModelIoError::Format(format!("missing `{MAGIC}` header")));
-    }
-    let pi = read_matrix(&mut next_line, "pi")?;
-    let theta = read_matrix(&mut next_line, "theta")?;
-    let phi = read_matrix(&mut next_line, "phi")?;
-
-    let (c_n, z_n) = read_header(&next_line()?, "eta")?;
-    let len = c_n
+    let pi = r.matrix("pi")?;
+    let theta = r.matrix("theta")?;
+    let phi = r.matrix("phi")?;
+    let (c_n, z_n) = (r.dim("eta")?, r.dim("eta")?);
+    let cells = c_n
         .checked_mul(c_n)
         .and_then(|n| n.checked_mul(z_n))
         .ok_or_else(|| ModelIoError::Format("eta dimensions overflow".into()))?;
-    let flat = parse_f64_row(&next_line()?, len)?;
-    // The values were row-normalised when saved: they load as stored,
-    // bit for bit, and damage is a format error.
-    let eta = Eta::from_normalised(c_n, z_n, flat).map_err(ModelIoError::Format)?;
+    let eta = r.values(cells, "eta", f64::from_le_bytes)?;
+    let nu_len = r.dim("nu")?;
+    let nu = r.values(nu_len, "nu", f64::from_le_bytes)?;
+    let topic_popularity = r.matrix("topic_popularity")?;
+    let d_n = r.dim("doc_community")?;
+    let doc_community = r.values(d_n, "doc_community", u32::from_le_bytes)?;
+    let d_n2 = r.dim("doc_topic")?;
+    let doc_topic = r.values(d_n2, "doc_topic", u32::from_le_bytes)?;
+    r.finish()?;
 
-    let (nu_len, _) = read_header_one(&next_line()?, "nu")?;
-    let nu = parse_f64_row(&next_line()?, nu_len)?;
+    // The bytes are intact; now the model they hold must be valid. η
+    // was row-normalised when saved: it loads as stored, bit for bit,
+    // and damage is a format error.
+    let eta = Eta::from_normalised(c_n, z_n, eta).map_err(ModelIoError::Format)?;
     if nu_len != N_FEATURES {
         return Err(ModelIoError::Format(format!(
             "nu has {nu_len} entries, expected {N_FEATURES}"
         )));
     }
-    let topic_popularity = read_matrix(&mut next_line, "topic_popularity")?;
-    let (d_n, _) = read_header_one(&next_line()?, "doc_community")?;
-    let doc_community = parse_u32_row(&next_line()?, d_n)?;
-    let (d_n2, _) = read_header_one(&next_line()?, "doc_topic")?;
-    let doc_topic = parse_u32_row(&next_line()?, d_n2)?;
     if d_n != d_n2 {
         return Err(ModelIoError::Format(
             "doc_community / doc_topic length mismatch".into(),
@@ -228,103 +282,249 @@ fn validate(model: &CpdModel) -> Result<(), ModelIoError> {
     Ok(())
 }
 
-fn write_matrix<W: Write>(w: &mut W, name: &str, rows: &[Vec<f64>]) -> Result<(), ModelIoError> {
-    let width = rows.first().map_or(0, |r| r.len());
-    writeln!(w, "{name} {} {width}", rows.len())?;
-    for row in rows {
-        write_row(w, row)?;
-    }
-    Ok(())
-}
-
-fn write_row<W: Write>(w: &mut W, row: &[f64]) -> Result<(), ModelIoError> {
-    let mut first = true;
-    for x in row {
-        if !first {
-            write!(w, " ")?;
+/// Check the magic line. A different `cpd-model v…` line is told apart
+/// from "not our file at all": the former shows up whenever the format
+/// bumps its version and an old reader meets a new snapshot (or this
+/// reader meets a v1 text snapshot).
+fn read_magic<R: BufRead>(reader: &mut R) -> Result<(), ModelIoError> {
+    let mut line = Vec::new();
+    reader
+        .by_ref()
+        .take(MAX_MAGIC_LINE)
+        .read_until(b'\n', &mut line)?;
+    match line.strip_suffix(b"\n") {
+        Some(header) if header == MAGIC.as_bytes() => Ok(()),
+        None if MAGIC.as_bytes().starts_with(&line) => Err(end_of_file()),
+        _ => {
+            let header = String::from_utf8_lossy(&line);
+            let header = header.trim_end();
+            if header.starts_with("cpd-model v") {
+                Err(ModelIoError::Format(format!(
+                    "unsupported model format version `{header}` (this build reads `{MAGIC}`; \
+                     re-save the model with a matching build or upgrade this reader)"
+                )))
+            } else {
+                Err(ModelIoError::Format(format!("missing `{MAGIC}` header")))
+            }
         }
-        write!(w, "{x}")?;
-        first = false;
     }
-    writeln!(w)?;
-    Ok(())
 }
 
-fn write_u32_row<W: Write>(w: &mut W, row: &[u32]) -> Result<(), ModelIoError> {
-    let strs: Vec<String> = row.iter().map(|x| x.to_string()).collect();
-    writeln!(w, "{}", strs.join(" "))?;
-    Ok(())
+fn end_of_file() -> ModelIoError {
+    ModelIoError::Format("unexpected end of file".into())
 }
 
-fn read_matrix(
-    next_line: &mut impl FnMut() -> Result<String, ModelIoError>,
-    name: &str,
-) -> Result<Vec<Vec<f64>>, ModelIoError> {
-    let (n_rows, width) = read_header(&next_line()?, name)?;
-    // A damaged header must not size an allocation: rows grow as they
-    // actually parse.
-    let mut rows = Vec::new();
-    for _ in 0..n_rows {
-        rows.push(parse_f64_row(&next_line()?, width)?);
-    }
-    Ok(rows)
+/// FNV-1a over 64-bit little-endian words, fed in arbitrary pieces.
+#[derive(Clone, Copy)]
+struct Fnv64 {
+    state: u64,
+    /// The first bytes of a word not yet complete: a `u32` section can
+    /// end mid-word, and the next section completes it.
+    pending: [u8; 8],
+    pending_len: usize,
 }
 
-fn read_header(line: &str, expected: &str) -> Result<(usize, usize), ModelIoError> {
-    let mut parts = line.split_whitespace();
-    let name = parts.next().unwrap_or("");
-    if name != expected {
-        return Err(ModelIoError::Format(format!(
-            "expected section `{expected}`, found `{name}`"
-        )));
+impl Fnv64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    fn new() -> Self {
+        Self {
+            state: Self::OFFSET,
+            pending: [0; 8],
+            pending_len: 0,
+        }
     }
-    let a = parse_usize(parts.next(), expected)?;
-    let b = parse_usize(parts.next(), expected)?;
-    Ok((a, b))
+
+    fn mix(&mut self, word: [u8; 8]) {
+        self.state = (self.state ^ u64::from_le_bytes(word)).wrapping_mul(Self::PRIME);
+    }
+
+    fn update(&mut self, mut bytes: &[u8]) {
+        if self.pending_len > 0 {
+            let take = (8 - self.pending_len).min(bytes.len());
+            self.pending[self.pending_len..self.pending_len + take].copy_from_slice(&bytes[..take]);
+            self.pending_len += take;
+            bytes = &bytes[take..];
+            if self.pending_len < 8 {
+                return;
+            }
+            self.mix(self.pending);
+            self.pending_len = 0;
+        }
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.mix(word.try_into().expect("an 8-byte chunk"));
+        }
+        let rest = words.remainder();
+        self.pending[..rest.len()].copy_from_slice(rest);
+        self.pending_len = rest.len();
+    }
+
+    /// The sum so far, a trailing partial word zero-padded.
+    fn finish(&self) -> u64 {
+        let mut last = *self;
+        if last.pending_len > 0 {
+            last.pending[last.pending_len..].fill(0);
+            last.mix(last.pending);
+        }
+        last.state
+    }
 }
 
-fn read_header_one(line: &str, expected: &str) -> Result<(usize, ()), ModelIoError> {
-    let mut parts = line.split_whitespace();
-    let name = parts.next().unwrap_or("");
-    if name != expected {
-        return Err(ModelIoError::Format(format!(
-            "expected section `{expected}`, found `{name}`"
-        )));
-    }
-    Ok((parse_usize(parts.next(), expected)?, ()))
+/// The writing half: every byte after the magic line goes through
+/// [`SnapshotWriter::values`], which sums it.
+struct SnapshotWriter<W: Write> {
+    inner: BufWriter<W>,
+    sum: Fnv64,
+    /// Encoding buffer of [`CHUNK_BYTES`].
+    chunk: Vec<u8>,
 }
 
-fn parse_usize(token: Option<&str>, section: &str) -> Result<usize, ModelIoError> {
-    token
-        .and_then(|t| t.parse().ok())
-        .ok_or_else(|| ModelIoError::Format(format!("bad dimension in `{section}` header")))
+impl<W: Write> SnapshotWriter<W> {
+    fn dim(&mut self, n: usize) -> std::io::Result<()> {
+        self.values(&[n as u64], u64::to_le_bytes)
+    }
+
+    fn values<T: Copy, const N: usize>(
+        &mut self,
+        values: &[T],
+        encode: fn(T) -> [u8; N],
+    ) -> std::io::Result<()> {
+        for part in values.chunks(CHUNK_BYTES / N) {
+            let bytes = &mut self.chunk[..part.len() * N];
+            for (slot, &v) in bytes.chunks_exact_mut(N).zip(part) {
+                slot.copy_from_slice(&encode(v));
+            }
+            self.sum.update(bytes);
+            self.inner.write_all(bytes)?;
+        }
+        Ok(())
+    }
+
+    fn matrix(&mut self, name: &str, rows: &[Vec<f64>]) -> Result<(), ModelIoError> {
+        let width = rows.first().map_or(0, Vec::len);
+        if width == 0 && !rows.is_empty() {
+            return Err(ModelIoError::Format(format!(
+                "{name} has {} rows of width 0",
+                rows.len()
+            )));
+        }
+        if let Some((r, row)) = rows.iter().enumerate().find(|(_, row)| row.len() != width) {
+            return Err(ModelIoError::Format(format!(
+                "{name} row {r} has {} values, expected {width}",
+                row.len()
+            )));
+        }
+        self.dim(rows.len())?;
+        self.dim(width)?;
+        for row in rows {
+            self.values(row, f64::to_le_bytes)?;
+        }
+        Ok(())
+    }
 }
 
-fn parse_f64_row(line: &str, expected: usize) -> Result<Vec<f64>, ModelIoError> {
-    let row: Result<Vec<f64>, _> = line.split_whitespace().map(str::parse).collect();
-    let row = row.map_err(|e| ModelIoError::Format(format!("bad float: {e}")))?;
-    if row.len() != expected {
-        return Err(ModelIoError::Format(format!(
-            "row has {} values, expected {expected}",
-            row.len()
-        )));
-    }
-    Ok(row)
+/// The reading half: every byte after the magic line is summed as it
+/// is read, and nothing is allocated for bytes not yet read.
+struct SnapshotReader<R: Read> {
+    inner: BufReader<R>,
+    sum: Fnv64,
+    /// Read buffer of [`CHUNK_BYTES`].
+    chunk: Vec<u8>,
 }
 
-fn parse_u32_row(line: &str, expected: usize) -> Result<Vec<u32>, ModelIoError> {
-    if expected == 0 {
-        return Ok(Vec::new());
+impl<R: Read> SnapshotReader<R> {
+    /// Read exactly `len <= CHUNK_BYTES` bytes and sum them.
+    fn fill(&mut self, len: usize) -> Result<&[u8], ModelIoError> {
+        let bytes = &mut self.chunk[..len];
+        self.inner.read_exact(bytes).map_err(|e| match e.kind() {
+            std::io::ErrorKind::UnexpectedEof => end_of_file(),
+            _ => ModelIoError::Io(e),
+        })?;
+        self.sum.update(bytes);
+        Ok(bytes)
     }
-    let row: Result<Vec<u32>, _> = line.split_whitespace().map(str::parse).collect();
-    let row = row.map_err(|e| ModelIoError::Format(format!("bad integer: {e}")))?;
-    if row.len() != expected {
-        return Err(ModelIoError::Format(format!(
-            "row has {} values, expected {expected}",
-            row.len()
-        )));
+
+    fn word(&mut self) -> Result<u64, ModelIoError> {
+        let bytes = self.fill(8)?;
+        Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
     }
-    Ok(row)
+
+    fn dim(&mut self, section: &str) -> Result<usize, ModelIoError> {
+        let n = self.word()?;
+        usize::try_from(n)
+            .map_err(|_| ModelIoError::Format(format!("`{section}` dimension {n} overflows")))
+    }
+
+    /// `n` elements of `N` bytes each, decoded chunk by chunk: the
+    /// vector grows only with bytes actually read.
+    fn values<T, const N: usize>(
+        &mut self,
+        n: usize,
+        section: &str,
+        decode: fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, ModelIoError> {
+        let mut left = n.checked_mul(N).ok_or_else(|| {
+            ModelIoError::Format(format!("`{section}` holds {n} values: size overflows"))
+        })?;
+        let mut out = Vec::new();
+        while left > 0 {
+            let take = left.min(CHUNK_BYTES);
+            let bytes = self.fill(take)?;
+            out.extend(
+                bytes
+                    .chunks_exact(N)
+                    .map(|b| decode(b.try_into().expect("an N-byte chunk"))),
+            );
+            left -= take;
+        }
+        Ok(out)
+    }
+
+    fn matrix(&mut self, name: &str) -> Result<Vec<Vec<f64>>, ModelIoError> {
+        let (n_rows, width) = (self.dim(name)?, self.dim(name)?);
+        // Each row must consume bytes, or a damaged row count would
+        // loop (and allocate) without reading anything.
+        if width == 0 && n_rows > 0 {
+            return Err(ModelIoError::Format(format!(
+                "`{name}` declares {n_rows} rows of width 0"
+            )));
+        }
+        if n_rows
+            .checked_mul(width)
+            .and_then(|n| n.checked_mul(8))
+            .is_none()
+        {
+            return Err(ModelIoError::Format(format!(
+                "`{name}` dimensions {n_rows} x {width} overflow"
+            )));
+        }
+        let mut rows = Vec::new();
+        for _ in 0..n_rows {
+            rows.push(self.values(width, name, f64::from_le_bytes)?);
+        }
+        Ok(rows)
+    }
+
+    /// Check the stored checksum against the bytes read, and that
+    /// nothing follows it.
+    fn finish(mut self) -> Result<(), ModelIoError> {
+        let computed = self.sum.finish();
+        let stored = self.word()?;
+        if stored != computed {
+            return Err(ModelIoError::Format(format!(
+                "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
+            )));
+        }
+        if let Some(next) = self.inner.bytes().next() {
+            next?;
+            return Err(ModelIoError::Format(
+                "trailing bytes after the checksum".into(),
+            ));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -350,23 +550,80 @@ mod tests {
         Cpd::new(cfg).unwrap().fit(&g).model
     }
 
-    /// The `eta` values line of a serialised model.
-    fn eta_line(text: &str) -> usize {
-        let header = text
-            .lines()
-            .position(|l| l.starts_with("eta "))
-            .expect("eta section");
-        header + 1
+    /// A hand-built model small enough to damage exhaustively. Its odd
+    /// document count ends `doc_community` mid-word.
+    fn tiny_model() -> CpdModel {
+        CpdModel {
+            pi: vec![vec![0.75, 0.25], vec![0.5, 0.5], vec![0.125, 0.875]],
+            theta: vec![vec![0.5, 0.5], vec![0.25, 0.75]],
+            phi: vec![vec![0.5, 0.25, 0.25], vec![0.125, 0.125, 0.75]],
+            eta: Eta::from_normalised(2, 2, vec![0.25, 0.25, 0.25, 0.25, 0.5, 0.125, 0.125, 0.25])
+                .unwrap(),
+            nu: (0..N_FEATURES).map(|i| i as f64 * 0.5 - 1.0).collect(),
+            topic_popularity: vec![vec![0.5, 0.5], vec![0.75, 0.25]],
+            doc_community: vec![0, 1, 1],
+            doc_topic: vec![1, 0, 1],
+        }
     }
 
-    /// `text` with its `eta` values line rewritten by `f`.
-    fn with_eta(text: &str, f: impl Fn(&mut Vec<String>)) -> String {
-        let at = eta_line(text);
-        let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
-        let mut cells: Vec<String> = lines[at].split_whitespace().map(str::to_owned).collect();
-        f(&mut cells);
-        lines[at] = cells.join(" ");
-        lines.join("\n") + "\n"
+    fn snapshot(model: &CpdModel) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_model(model, &mut buf).unwrap();
+        buf
+    }
+
+    /// Where each section's dimensions start in `model`'s snapshot, by
+    /// the layout table in the module docs; the last entry is the
+    /// checksum.
+    fn section_starts(model: &CpdModel) -> Vec<(&'static str, usize)> {
+        let matrix = |rows: &[Vec<f64>]| 16 + 8 * rows.len() * rows.first().map_or(0, Vec::len);
+        let sizes = [
+            ("pi", matrix(&model.pi)),
+            ("theta", matrix(&model.theta)),
+            ("phi", matrix(&model.phi)),
+            ("eta", 16 + 8 * model.eta.as_slice().len()),
+            ("nu", 8 + 8 * model.nu.len()),
+            ("topic_popularity", matrix(&model.topic_popularity)),
+            ("doc_community", 8 + 4 * model.doc_community.len()),
+            ("doc_topic", 8 + 4 * model.doc_topic.len()),
+            ("checksum", 8),
+        ];
+        let mut at = MAGIC.len() + 1;
+        sizes
+            .iter()
+            .map(|&(name, size)| {
+                at += size;
+                (name, at - size)
+            })
+            .collect()
+    }
+
+    fn start_of(model: &CpdModel, section: &str) -> usize {
+        section_starts(model)
+            .into_iter()
+            .find(|&(name, _)| name == section)
+            .expect("a section of the layout")
+            .1
+    }
+
+    fn put_u64(buf: &mut [u8], at: usize, value: u64) {
+        buf[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    }
+
+    /// Recompute the trailing checksum, so damage is caught by what
+    /// reads the values rather than by the sum.
+    fn reseal(buf: &mut [u8]) {
+        let mut sum = Fnv64::new();
+        let end = buf.len() - 8;
+        sum.update(&buf[MAGIC.len() + 1..end]);
+        put_u64(buf, end, sum.finish());
+    }
+
+    fn format_error(buf: &[u8]) -> String {
+        match read_model(buf) {
+            Err(ModelIoError::Format(msg)) => msg,
+            other => panic!("expected a format error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -394,56 +651,183 @@ mod tests {
     }
 
     #[test]
+    fn layout_matches_the_documented_table() {
+        for model in [tiny_model(), fitted_model()] {
+            let buf = snapshot(&model);
+            assert_eq!(&buf[..MAGIC.len() + 1], b"cpd-model v2\n");
+            let starts = section_starts(&model);
+            assert_eq!(starts.last().unwrap().1 + 8, buf.len());
+            let dim = |at: usize| u64::from_le_bytes(buf[at..at + 8].try_into().unwrap());
+            let pi = start_of(&model, "pi");
+            assert_eq!(dim(pi), model.pi.len() as u64);
+            assert_eq!(dim(pi + 8), model.n_communities() as u64);
+            let phi = start_of(&model, "phi");
+            assert_eq!(dim(phi + 8), model.vocab_size() as u64);
+            let eta = start_of(&model, "eta");
+            assert_eq!(f64::from_bits(dim(eta + 16)), model.eta.as_slice()[0]);
+            let docs = start_of(&model, "doc_topic");
+            assert_eq!(dim(docs), model.doc_topic.len() as u64);
+        }
+    }
+
+    /// FNV-1a over bytes, independent of the snapshot's own word sum.
+    fn fingerprint(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        // Any change to the layout, the byte order or the checksum moves
+        // this fingerprint; a deliberate format change bumps `MAGIC`.
+        // The value was cross-checked against an independent encoder
+        // written from the module docs' layout table.
+        let buf = snapshot(&tiny_model());
+        assert_eq!(buf.len(), 429);
+        assert_eq!(
+            fingerprint(&buf),
+            0xd88e_3c86_8b51_f61d,
+            "fingerprint {:#018x}",
+            fingerprint(&buf)
+        );
+    }
+
+    #[test]
+    fn checksum_does_not_depend_on_how_bytes_arrive() {
+        let bytes: Vec<u8> = (0..=200u8).collect();
+        let mut whole = Fnv64::new();
+        whole.update(&bytes);
+        for split in [1, 3, 4, 7, 8, 9, 100] {
+            let mut pieces = Fnv64::new();
+            for piece in bytes.chunks(split) {
+                pieces.update(piece);
+            }
+            assert_eq!(pieces.finish(), whole.finish(), "pieces of {split}");
+        }
+    }
+
+    #[test]
     fn rejects_damaged_eta_with_a_format_error() {
         let model = fitted_model();
-        let mut buf = Vec::new();
-        write_model(&model, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        type Damage = fn(&mut Vec<String>);
-        let damage: [(&str, Damage); 5] = [
-            ("NaN cell", |c| c[0] = "NaN".into()),
-            ("infinite cell", |c| c[1] = "inf".into()),
-            ("negative cell", |c| c[0] = format!("-{}", c[0])),
-            ("row sum off", |c| c[2] = "0.5".into()),
-            ("short row", |c| drop(c.pop())),
-        ];
-        for (what, f) in damage {
-            let damaged = with_eta(&text, f);
-            assert_ne!(damaged, text, "{what}: damage must change the file");
-            match read_model(damaged.as_bytes()) {
-                Err(ModelIoError::Format(msg)) => assert!(!msg.is_empty(), "{what}"),
-                other => panic!("{what}: expected a format error, got {other:?}"),
-            }
+        let clean = snapshot(&model);
+        let first = start_of(&model, "eta") + 16;
+        let c0 = model.eta.as_slice()[0];
+        for (what, cell, value) in [
+            ("NaN cell", 0, f64::NAN),
+            ("infinite cell", 1, f64::INFINITY),
+            ("negative cell", 0, -c0),
+            ("row sum off", 2, 0.5),
+        ] {
+            let mut damaged = clean.clone();
+            put_u64(&mut damaged, first + 8 * cell, value.to_bits());
+            assert_ne!(damaged, clean, "{what}: damage must change the file");
+            reseal(&mut damaged);
+            let msg = format_error(&damaged);
+            assert!(msg.contains("eta row"), "{what}: {msg}");
         }
+        // A short row: the last cell is gone and everything after it
+        // moves up.
+        let mut short = clean.clone();
+        let last = first + 8 * model.eta.as_slice().len();
+        short.drain(last - 8..last);
+        reseal(&mut short);
+        assert!(!format_error(&short).is_empty(), "short row");
         // An undamaged rewrite still loads.
-        assert!(read_model(with_eta(&text, |_| {}).as_bytes()).is_ok());
+        let mut same = clean.clone();
+        reseal(&mut same);
+        assert_eq!(same, clean);
+        assert!(read_model(&same[..]).is_ok());
     }
 
     #[test]
     fn rejects_absurd_section_dimensions() {
         let model = fitted_model();
-        let mut buf = Vec::new();
-        write_model(&model, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
+        let clean = snapshot(&model);
         for section in ["theta", "eta"] {
-            let damaged: Vec<String> = text
-                .lines()
-                .map(|l| {
-                    if l.split_whitespace().next() == Some(section) {
-                        format!("{section} {} 3", usize::MAX / 2)
-                    } else {
-                        l.to_owned()
-                    }
-                })
-                .collect();
-            assert!(
-                matches!(
-                    read_model(damaged.join("\n").as_bytes()),
-                    Err(ModelIoError::Format(_))
-                ),
-                "{section}"
-            );
+            let mut damaged = clean.clone();
+            let at = start_of(&model, section);
+            put_u64(&mut damaged, at, (usize::MAX / 2) as u64);
+            put_u64(&mut damaged, at + 8, 3);
+            reseal(&mut damaged);
+            let msg = format_error(&damaged);
+            assert!(msg.contains("overflow"), "{section}: {msg}");
         }
+    }
+
+    #[test]
+    fn zero_width_rows_are_refused_without_looping() {
+        // 2^40 rows of nothing would loop (and allocate) without
+        // reading a byte.
+        let model = tiny_model();
+        let mut damaged = snapshot(&model);
+        let at = start_of(&model, "pi");
+        put_u64(&mut damaged, at, 1 << 40);
+        put_u64(&mut damaged, at + 8, 0);
+        reseal(&mut damaged);
+        let msg = format_error(&damaged);
+        assert!(msg.contains("width 0"), "{msg}");
+    }
+
+    #[test]
+    fn huge_sections_fail_at_the_end_of_the_bytes() {
+        // A u32 section of 2^60 entries (and an f64 one of 2^40) reads
+        // only the bytes that exist and then stops: nothing is sized
+        // from the header.
+        let model = tiny_model();
+        for (section, n) in [("doc_community", 1u64 << 60), ("nu", 1 << 40)] {
+            let mut damaged = snapshot(&model);
+            put_u64(&mut damaged, start_of(&model, section), n);
+            reseal(&mut damaged);
+            let msg = format_error(&damaged);
+            assert!(msg.contains("unexpected end of file"), "{section}: {msg}");
+        }
+    }
+
+    #[test]
+    fn writer_refuses_matrices_the_layout_cannot_hold() {
+        let mut ragged = tiny_model();
+        ragged.phi[1].pop();
+        let mut empty_rows = tiny_model();
+        empty_rows.phi = vec![Vec::new(); 2];
+        for (what, model) in [("ragged", ragged), ("zero width", empty_rows)] {
+            match write_model(&model, Vec::new()) {
+                Err(ModelIoError::Format(msg)) => assert!(msg.contains("phi"), "{what}: {msg}"),
+                other => panic!("{what}: expected a format error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn every_truncation_and_bit_flip_is_a_typed_error() {
+        let model = tiny_model();
+        let buf = snapshot(&model);
+        assert!(read_model(&buf[..]).is_ok());
+        let typed = |bytes: &[u8]| {
+            matches!(
+                read_model(bytes),
+                Err(ModelIoError::Format(_) | ModelIoError::Io(_))
+            )
+        };
+        for len in 0..buf.len() {
+            assert!(typed(&buf[..len]), "truncated to {len} bytes");
+        }
+        let mut flipped = buf.clone();
+        for i in 0..buf.len() {
+            for bit in 0..8 {
+                flipped[i] ^= 1 << bit;
+                assert!(typed(&flipped), "bit {bit} of byte {i} flipped");
+                flipped[i] ^= 1 << bit;
+            }
+        }
+    }
+
+    #[test]
+    fn rejects_trailing_bytes() {
+        let mut buf = snapshot(&tiny_model());
+        buf.push(0);
+        let msg = format_error(&buf);
+        assert!(msg.contains("trailing"), "{msg}");
     }
 
     #[test]
@@ -487,11 +871,21 @@ mod tests {
 
     #[test]
     fn future_version_gets_a_version_error_not_a_magic_error() {
-        let err = read_model(&b"cpd-model v2\npi 1 1\n0.5\n"[..]).unwrap_err();
+        let err = read_model(&b"cpd-model v3\n\x01\x00\x00\x00\x00\x00\x00\x00"[..]).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("unsupported model format version"), "{msg}");
-        assert!(msg.contains("cpd-model v2"), "{msg}");
+        assert!(msg.contains("cpd-model v3"), "{msg}");
         assert!(msg.contains(MAGIC), "{msg}");
+    }
+
+    #[test]
+    fn v1_text_snapshot_gets_the_version_error() {
+        let err = read_model(&b"cpd-model v1\npi 1 1\n0.5\n"[..]).unwrap_err();
+        let msg = err.to_string();
+        assert!(matches!(err, ModelIoError::Format(_)), "{msg}");
+        assert!(msg.contains("unsupported model format version"), "{msg}");
+        assert!(msg.contains("`cpd-model v1`"), "{msg}");
+        assert!(msg.contains("re-save"), "{msg}");
     }
 
     #[test]
@@ -506,21 +900,28 @@ mod tests {
     #[test]
     fn rejects_corrupted_floats() {
         let model = fitted_model();
-        let mut buf = Vec::new();
-        write_model(&model, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let corrupted = text.replacen("0.", "xx.", 1);
-        assert!(read_model(corrupted.as_bytes()).is_err());
+        let clean = snapshot(&model);
+        let first_phi = start_of(&model, "phi") + 16;
+        // A flipped bit in a stored float: the checksum catches it.
+        let mut flipped = clean.clone();
+        flipped[first_phi + 3] ^= 0x10;
+        assert!(format_error(&flipped).contains("checksum"));
+        // A float that is intact on disk but not finite: validation does.
+        let mut nan = clean;
+        put_u64(&mut nan, first_phi, f64::NAN.to_bits());
+        reseal(&mut nan);
+        let msg = format_error(&nan);
+        assert!(msg.contains("phi contains non-finite values"), "{msg}");
     }
 
     #[test]
     fn rejects_dimension_mismatch() {
         let model = fitted_model();
-        let mut buf = Vec::new();
-        write_model(&model, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
+        let mut corrupted = snapshot(&model);
         // Lie about the pi width.
-        let corrupted = text.replacen("pi 120 3", "pi 120 4", 1);
-        assert!(read_model(corrupted.as_bytes()).is_err());
+        let at = start_of(&model, "pi") + 8;
+        put_u64(&mut corrupted, at, model.n_communities() as u64 + 1);
+        reseal(&mut corrupted);
+        assert!(read_model(&corrupted[..]).is_err());
     }
 }

@@ -1,6 +1,9 @@
 //! Community profile types: the content profile `θ_c` (Def. 4) and the
 //! diffusion profile `η_c` (Def. 5), plus the fitted-model container.
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
 /// How far a stored η source row's sum may stray from 1 in
 /// [`Eta::from_normalised`].
 const ROW_SUM_TOLERANCE: f64 = 1e-9;
@@ -123,12 +126,62 @@ impl Eta {
     /// Top-`k` `(topic, strength)` pairs for the directed pair `c → c'`
     /// (the Fig. 5(c) case study).
     pub fn top_topics(&self, c: usize, c2: usize, k: usize) -> Vec<(usize, f64)> {
-        let mut pairs: Vec<(usize, f64)> =
-            (0..self.n_topics).map(|z| (z, self.at(c, c2, z))).collect();
-        pairs.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("no NaN").then(a.0.cmp(&b.0)));
-        pairs.truncate(k);
-        pairs
+        let start = (c * self.n_communities + c2) * self.n_topics;
+        top_k(&self.values[start..start + self.n_topics], k)
     }
+}
+
+/// A `(position, value)` candidate, ordered best first: larger value
+/// first, then smaller position. Positions are distinct, so without NaN
+/// this is a strict total order.
+struct Ranked(usize, f64);
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .1
+            .partial_cmp(&self.1)
+            .expect("no NaN")
+            .then(self.0.cmp(&other.0))
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Ranked {}
+
+/// The best `min(k, values.len())` `(position, value)` pairs of
+/// `values`, best first (value descending, then position ascending) —
+/// exactly the head of a full sort under that order, found in one pass.
+/// A max-heap keeps the entries still in the running with the worst on
+/// top, so each further value costs one comparison unless it displaces
+/// that worst; nothing is allocated beyond the answer itself.
+fn top_k(values: &[f64], k: usize) -> Vec<(usize, f64)> {
+    let mut kept = BinaryHeap::new();
+    for (i, &v) in values.iter().enumerate() {
+        let candidate = Ranked(i, v);
+        if kept.len() < k {
+            kept.push(candidate);
+        } else if let Some(mut worst) = kept.peek_mut() {
+            if candidate < *worst {
+                *worst = candidate;
+            }
+        }
+    }
+    kept.into_sorted_vec()
+        .into_iter()
+        .map(|Ranked(i, v)| (i, v))
+        .collect()
 }
 
 /// Index of the largest entry of a probability row (ties break to the
@@ -188,19 +241,13 @@ impl CpdModel {
 
     /// Top-`k` `(word, probability)` pairs of topic `z` (Table 5).
     pub fn top_words(&self, z: usize, k: usize) -> Vec<(usize, f64)> {
-        let mut pairs: Vec<(usize, f64)> = self.phi[z].iter().copied().enumerate().collect();
-        pairs.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("no NaN").then(a.0.cmp(&b.0)));
-        pairs.truncate(k);
-        pairs
+        top_k(&self.phi[z], k)
     }
 
     /// Top-`k` `(topic, probability)` pairs of community `c`'s content
     /// profile.
     pub fn top_topics_of_community(&self, c: usize, k: usize) -> Vec<(usize, f64)> {
-        let mut pairs: Vec<(usize, f64)> = self.theta[c].iter().copied().enumerate().collect();
-        pairs.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("no NaN").then(a.0.cmp(&b.0)));
-        pairs.truncate(k);
-        pairs
+        top_k(&self.theta[c], k)
     }
 }
 
@@ -262,6 +309,35 @@ mod tests {
         let top = e.top_topics(0, 0, 2);
         assert_eq!(top[0].0, 0);
         assert!(top[0].1 > top[1].1);
+    }
+
+    #[test]
+    fn top_k_is_the_head_of_a_full_sort() {
+        // The sort-then-truncate every top-k read used to run.
+        fn sorted_head(values: &[f64], k: usize) -> Vec<(usize, f64)> {
+            let mut pairs: Vec<(usize, f64)> = values.iter().copied().enumerate().collect();
+            pairs.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("no NaN").then(a.0.cmp(&b.0)));
+            pairs.truncate(k);
+            pairs
+        }
+        // Few distinct values (ties everywhere, ±0.0 among them), in
+        // rising, falling and scrambled order.
+        let levels = [0.5, -0.0, 0.25, 0.0, 1.0, 0.25, -1.0];
+        let scrambled: Vec<f64> = (0..200).map(|i| levels[(i * 37 + 11) % 7]).collect();
+        let mut rising = scrambled.clone();
+        rising.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let falling: Vec<f64> = rising.iter().rev().copied().collect();
+        for values in [scrambled, rising, falling, Vec::new(), vec![0.3]] {
+            for k in [0, 1, 2, 7, 20, 199, 200, 201, usize::MAX] {
+                let got = top_k(&values, k);
+                let want = sorted_head(&values, k);
+                assert_eq!(got.len(), want.len(), "k = {k}");
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!(g.0, w.0, "k = {k}");
+                    assert_eq!(g.1.to_bits(), w.1.to_bits(), "k = {k}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //!
 //! The offline applications in `cpd_core::apps` answer every query with
 //! a dense scan — `rank_communities` walks the full `C × C × Z` tensor
-//! per query, `top_words` sorts all `V` vocabulary entries per call.
-//! The index moves all of that work to build time:
+//! per query, `top_words` scans all `V` vocabulary entries per call
+//! (one pass that keeps the best `k`). The index moves all of that work
+//! to build time:
 //!
 //! * **word → topic posting lists** — the log-`φ` matrix stored
 //!   word-major (`postings(w)` is word `w`'s list of per-topic log
@@ -108,8 +109,8 @@ impl ProfileIndex {
             }
         }
 
-        // Top-k tables reuse the model's own sorters, so ordering and
-        // tie-breaking match the dense calls exactly.
+        // Top-k tables reuse the model's own one-pass top-k reads, so
+        // ordering and tie-breaking match the dense calls exactly.
         let top_words = (0..z_n).map(|z| model.top_words(z, top_k)).collect();
         let top_topics = (0..c_n)
             .map(|c| model.top_topics_of_community(c, top_k))
@@ -228,7 +229,7 @@ impl ProfileIndex {
     }
 
     /// Top-`k` `(word, probability)` of topic `z` — precomputed for
-    /// `k <= top_k`, exact dense fallback beyond that.
+    /// `k <= top_k`, an exact one-pass scan of `φ_z` beyond that.
     pub fn top_words(&self, z: usize, k: usize) -> Vec<(usize, f64)> {
         if k <= self.top_k {
             self.top_words[z][..k.min(self.top_words[z].len())].to_vec()

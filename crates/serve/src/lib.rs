@@ -4,10 +4,12 @@
 //! The paper's remark 1 (Sect. 1) is that profiling happens **once,
 //! offline** and then "serves multiple applications". `cpd-core` covers
 //! the offline half: fit with [`Cpd::fit`](cpd_core::Cpd::fit),
-//! snapshot with [`io::save_model`](cpd_core::io::save_model) (crash-
-//! safe: written to a `.tmp` sibling and renamed into place). This
-//! crate is the read path that serves the snapshot — the full lifecycle
-//! is **fit → snapshot → serve → reload**:
+//! snapshot with [`io::save_model`](cpd_core::io::save_model) (a
+//! checksummed binary file holding every parameter's raw bits, so a
+//! loaded model is bit-identical to the fitted one; crash-safe: written
+//! to a `.tmp` sibling and renamed into place). This crate is the read
+//! path that serves the snapshot — the full lifecycle is
+//! **fit → snapshot → serve → reload**:
 //!
 //! 1. **[`ProfileIndex`]** — an immutable index built once per
 //!    snapshot: word → topic log-`φ` posting lists, the Eq. 19

@@ -126,8 +126,8 @@ fn reload_from_snapshot_file_matches_fresh_index() {
     assert_eq!(runtime.generation(), 2);
 
     // The reloaded runtime answers like an index built directly from
-    // the file (the text format round-trips the rankings; see
-    // tests/roundtrip.rs for the exact-vs-1ulp contract on η).
+    // the file (the snapshot round-trips every parameter bit for bit;
+    // tests/roundtrip.rs pins that against the pre-save model).
     let reloaded = runtime.index();
     let fresh = ProfileIndex::build(cpd_core::io::load_model(&path).unwrap(), &cfg_b);
     let q = vec![WordId(0), WordId(3)];

@@ -31,29 +31,36 @@ fn save_load_index_query_round_trip_matches_pre_save_model() {
     let path = dir.join("model.cpd");
     save_model(&fit.model, &path).unwrap();
 
-    // Serving process: load and index. The text format round-trips
-    // `π`/`θ`/`φ` bit-exactly; `η` is re-normalised on load (its row
-    // sums are 1 ± 1 ulp), so η-backed scores agree to ~1e-16 — well
-    // inside the 1e-12 contract, with identical orderings.
+    // Serving process: load and index. The snapshot stores every
+    // parameter's raw bits, `η` included, so every answer — η-backed
+    // rankings too — is identical before and after the round trip.
     let loaded = load_model(&path).unwrap();
     let index_pre = ProfileIndex::build(fit.model, &cfg);
     let index_post = ProfileIndex::build(loaded, &cfg);
 
     for w in 0..g.vocab_size().min(12) {
         let q = vec![WordId(w as u32)];
-        let (pre, post) = (
+        assert_eq!(
             index_pre.rank_communities(&q),
             index_post.rank_communities(&q),
+            "word {w}"
         );
-        for (a, b) in pre.iter().zip(&post) {
-            assert_eq!(a.0, b.0, "rank order after round trip, word {w}");
-            assert!((a.1 - b.1).abs() <= 1e-12, "word {w}: {} vs {}", a.1, b.1);
-        }
-        // φ-only queries round-trip bit-exactly.
         assert_eq!(index_pre.query_topics(&q), index_post.query_topics(&q));
     }
     for z in 0..index_pre.n_topics() {
         assert_eq!(index_pre.top_words(z, 10), index_post.top_words(z, 10));
+    }
+    for c in 0..index_pre.n_communities() {
+        assert_eq!(
+            index_pre.top_topics_of_community(c, 10),
+            index_post.top_topics_of_community(c, 10)
+        );
+        for c2 in 0..index_pre.n_communities() {
+            assert_eq!(
+                index_pre.pair_top_topics(c, c2, 10),
+                index_post.pair_top_topics(c, c2, 10)
+            );
+        }
     }
 
     std::fs::remove_file(&path).ok();
