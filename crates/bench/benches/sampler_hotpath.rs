@@ -1,7 +1,8 @@
 //! Skew-aware sampler hot-path benchmarks: the three [`SamplerKind`]s
 //! head-to-head on the paper-shaped corpus (K=50 topics over a 60k-term
-//! vocabulary) at 1/2/4/8 threads, plus the fold-in batch path that
-//! shares the one-pass weight-to-sample kernel.
+//! vocabulary) at 1/2/4/8 threads, the link-likelihood terms on a
+//! link-heavy corpus, plus the fold-in batch path that shares the
+//! one-pass weight-to-sample kernel.
 //!
 //! All three kinds run the same sweep schedule under the same parallel
 //! runtime, so the wall-clock difference is pure per-document sampling
@@ -15,9 +16,10 @@
 //! * `alias_mh` — stale alias proposals with Metropolis–Hastings
 //!   correction for the topic draw, statistically equivalent.
 //!
-//! Results land in `BENCH_sampler_hotpath.json`; `CPD_BENCH_SMOKE=1`
-//! runs a tiny single-sweep version for CI under distinct `_smoke`
-//! group names.
+//! Results land in `BENCH_sampler_hotpath.json`,
+//! `BENCH_link_terms.json` and `BENCH_sampler_hotpath_foldin.json`;
+//! `CPD_BENCH_SMOKE=1` runs a tiny single-sweep version for CI under
+//! distinct `_smoke` group names.
 
 use cpd_core::{Cpd, CpdConfig, CpdModel, Eta, SamplerKind};
 use cpd_datagen::{generate, GenConfig, Scale};
@@ -110,6 +112,40 @@ fn bench_sampler_kinds(c: &mut Criterion) {
     group.finish();
 }
 
+/// A 2-thread fit where the link terms dominate: friend degree 40,
+/// 30,000 diffusions and 3 words per document over a 1,200-word
+/// vocabulary, `|C| = |Z| = 20` (the shape of the repository
+/// benchmark's `train_link_heavy` workload). The friendship term of
+/// every community draw and the Eq. 4 factor of the δ pass and the `ν`
+/// negatives take most of the fit; the word factor is small.
+fn bench_link_terms(c: &mut Criterion) {
+    let (scale, n_diffusions) = if smoke() {
+        (Scale::Tiny, 1_800)
+    } else {
+        (Scale::Medium, 30_000)
+    };
+    let (g, _) = generate(&GenConfig {
+        mean_friend_degree: 40.0,
+        n_diffusions,
+        mean_docs_per_user: 2.0,
+        mean_words_per_doc: 3.0,
+        ..GenConfig::twitter_like(scale)
+    });
+    let (em_iters, gibbs_sweeps) = if smoke() { (1, 1) } else { (2, 2) };
+    let trainer = Cpd::new(CpdConfig {
+        em_iters,
+        gibbs_sweeps,
+        threads: Some(2),
+        seed: 17,
+        ..CpdConfig::experiment(20, 20)
+    })
+    .unwrap();
+    let mut group = c.benchmark_group(group_name("link_terms"));
+    group.sample_size(if smoke() { 2 } else { 10 });
+    group.bench_function("link_heavy_fit_x2", |b| b.iter(|| trainer.fit(&g)));
+    group.finish();
+}
+
 fn random_simplex(rng: &mut StdRng, n: usize) -> Vec<f64> {
     let mut row: Vec<f64> = (0..n).map(|_| rng.gen::<f64>() + 1e-6).collect();
     let total: f64 = row.iter().sum();
@@ -166,5 +202,10 @@ fn bench_foldin_batch(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_sampler_kinds, bench_foldin_batch);
+criterion_group!(
+    benches,
+    bench_sampler_kinds,
+    bench_link_terms,
+    bench_foldin_batch
+);
 criterion_main!(benches);

@@ -1,7 +1,7 @@
 //! Serving-path benchmarks: index-backed queries vs the dense-scan
-//! reference, runtime throughput across worker counts, fold-in batch
-//! latency, and the cold start every server and every hot reload pays
-//! (snapshot save, snapshot load, index build).
+//! reference, diffusion scoring, runtime throughput across worker
+//! counts, fold-in batch latency, and the cold start every server and
+//! every hot reload pays (snapshot save, snapshot load, index build).
 //!
 //! The headline comparison runs at the paper's serving shape —
 //! `|C| = 50` communities over a 60k-term vocabulary — where the dense
@@ -13,19 +13,20 @@
 //! would dominate the run for no extra signal.
 //!
 //! Results land in `BENCH_<group>.json` (`serve_queries`,
-//! `serve_runtime`, `serve_foldin`, `serve_cold_start`);
+//! `serve_diffusion`, `serve_runtime`, `serve_foldin`,
+//! `serve_cold_start`);
 //! `CPD_BENCH_SMOKE=1` runs a tiny single-iteration version for CI
 //! (distinct `_smoke` group names so recorded results are not
 //! clobbered).
 
 use cpd_core::io::{load_model, save_model};
-use cpd_core::{rank_communities, CpdConfig, CpdModel, Eta};
+use cpd_core::{rank_communities, CpdConfig, CpdModel, Eta, UserFeatures};
 use cpd_prob::rng::seeded_rng;
 use cpd_serve::{FoldInItem, ProfileIndex, QueryRequest, ServeOptions, ServeRuntime};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::Rng;
-use social_graph::WordId;
+use social_graph::{SocialGraphBuilder, UserId, WordId};
 use std::sync::Arc;
 
 fn smoke() -> bool {
@@ -146,6 +147,45 @@ fn bench_index_vs_dense(c: &mut Criterion) {
     group.finish();
 }
 
+/// `DiffusionScore`, the heaviest query class: 64 direct
+/// `ProfileIndex::diffusion_score` calls per iteration. Eq. 4 runs once
+/// per topic that passes the `p(z|d) ≥ 1e-12` filter, so the two cells
+/// differ in how many topics it runs for: at the serving shape all 50
+/// pass on each 6-word document, and 23 of 50 on the mean 200-word
+/// document (4 to 38 across the 64).
+fn bench_diffusion_score(c: &mut Criterion) {
+    let (c_n, z_n, v_n, u_n) = shape();
+    let model = synthetic_model(c_n, z_n, v_n, u_n, 0xD1FF);
+    let config = CpdConfig::new(c_n, z_n);
+    let index = ProfileIndex::build(model, &config);
+    // Static features are read, not computed, per query: an
+    // edgeless graph of the right size serves.
+    let features = UserFeatures::compute(&SocialGraphBuilder::new(u_n, v_n).build().unwrap());
+    let mut rng = seeded_rng(17);
+
+    let mut group = c.benchmark_group(group_name("serve_diffusion"));
+    group.sample_size(if smoke() { 2 } else { 20 });
+    for words in [6, 200] {
+        let docs = random_queries(&mut rng, 64, words, v_n);
+        let pairs: Vec<(UserId, UserId)> = (0..64)
+            .map(|_| {
+                (
+                    UserId(rng.gen_range(0..u_n as u32)),
+                    UserId(rng.gen_range(0..u_n as u32)),
+                )
+            })
+            .collect();
+        group.bench_function(format!("diffusion_{words}_words_x64"), |b| {
+            b.iter(|| {
+                for (&(u, v), doc) in pairs.iter().zip(&docs) {
+                    black_box(index.diffusion_score(&features, u, v, doc, 0));
+                }
+            })
+        });
+    }
+    group.finish();
+}
+
 /// Mixed-batch throughput through the concurrent runtime at 1/2/4/8
 /// workers (same fixed ladder rationale as `gibbs_parallel`).
 fn bench_runtime_throughput(c: &mut Criterion) {
@@ -255,6 +295,7 @@ fn bench_cold_start(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_index_vs_dense,
+    bench_diffusion_score,
     bench_runtime_throughput,
     bench_foldin_batch,
     bench_cold_start

@@ -64,6 +64,12 @@ impl UserFeatures {
         }
     }
 
+    /// Number of users the features cover (the users of the graph they
+    /// were computed from).
+    pub fn n_users(&self) -> usize {
+        self.popularity.len()
+    }
+
     /// Popularity of `u`.
     #[inline]
     pub fn popularity(&self, u: UserId) -> f64 {

@@ -69,6 +69,45 @@
 //!   is dominated by link terms, not the prior row). Wins once
 //!   `|Z| · |doc|` dwarfs `mh_steps · |doc|`, i.e. for large topic
 //!   counts; on small K the alias rebuilds outweigh the savings.
+//!
+//! # The link terms
+//!
+//! The two link-likelihood kernels avoid repeating arithmetic whose
+//! result they already have, and keep every bit of it:
+//!
+//! * **Friendship** (`add_membership_link_terms`, Eq. 3 through
+//!   `ln ψ(π̂_u(c)ᵀ π̂_v, λ)`). The author's `n¬_uc + ρ` row is read
+//!   once per community draw, each partner's `n_vc` row once per
+//!   partner. Candidate `c` scores
+//!   `ln ψ((s_v + (n_vc + ρ)/denom_v) / denom_u, λ)`, which depends on
+//!   `c` only through `n_vc`; every candidate the partner has no
+//!   document in (`n_vc = 0`) therefore shares one term
+//!   `ln ψ((s_v + ρ/denom_v) / denom_u, λ)`, and only the partner's
+//!   nonzero entries pay their own two divisions and `ln ψ`. The
+//!   partner's terms are written baseline-then-overwrite (the shared
+//!   term everywhere, then the nonzero offsets listed while the row
+//!   was read), so no branch depends on a count: a branch per
+//!   candidate mispredicts often enough to cost what the skipped
+//!   divisions save.
+//! * **Eq. 4** (`soft_community_factor`, behind the δ pass and the `ν`
+//!   negatives). `s = Σ_{c'} π̂_{v,c'} θ̂_{c',z} Σ_c η_{c,c',z} π̂_{u,c}
+//!   θ̂_{c,z}` is contracted `c`-outer: `π̂_{u,c}` and `θ̂_{c,z}` are
+//!   divided once per `c` (not once per `(c, c')`), and each `c'` owns
+//!   an accumulator, so the `c'` loop is `|C|` independent add chains
+//!   instead of one serial chain per `c'`.
+//!
+//! Why every bit survives: each shared value is the same floating-point
+//! expression on the same operands the per-term loop evaluated
+//! (`0.0 + ρ` is exactly `ρ`, and a product keeps its left-to-right
+//! grouping `(η · π̂) · θ̂`); each accumulator and each candidate weight
+//! receives the same values in the same order (the inner Eq. 4 sum of
+//! `c'` still runs over `c` ascending, the outer one over `c'`
+//! ascending with the same `π̂_{v,c'} θ̂_{c',z} = 0` skip); and Rust
+//! never contracts `a * b + c` into a fused multiply-add or
+//! reassociates a sum, so vectorising the `c'` loop changes no result.
+//! The `gibbs` tests hold both kernels to the pre-decomposition loops
+//! by `to_bits`, and `tests/link_terms.rs` pins whole fits (assignments,
+//! `ν` and `η` bits) on a link-dense corpus.
 
 use crate::config::{CpdConfig, DiffusionModel, SamplerKind};
 use crate::features::{community_feature, UserFeatures, F_COMMUNITY, F_TOPIC_POP, N_FEATURES};
@@ -239,6 +278,8 @@ pub(crate) struct SweepScratch {
     lw_comm: Vec<f64>,
     /// Bilinear diffusion precomputation `g[c]` (`|C|`).
     g: Vec<f64>,
+    /// Count rows of the community draw's link terms.
+    link_rows: LinkRows,
     /// Per-token within-document repetition offsets (`occ[k]` = number
     /// of earlier occurrences of word `k` in the current document),
     /// computed once per document visit and reused across all
@@ -259,6 +300,7 @@ impl SweepScratch {
             acc_topic: Vec::new(),
             lw_comm: Vec::new(),
             g: Vec::new(),
+            link_rows: LinkRows::default(),
             occ: Vec::new(),
             alias: Vec::new(),
             stats: SamplerStats::default(),
@@ -274,6 +316,35 @@ impl SweepScratch {
     fn begin_sweep(&mut self, n_communities: usize) {
         self.alias.clear();
         self.alias.resize_with(n_communities, || None);
+    }
+}
+
+/// The count rows a community draw's link terms read, each `|C|` long:
+/// the author side, filled once per draw by [`LinkRows::fill_author`]
+/// and shared by every link of the document, and per-partner scratch
+/// that `add_membership_link_terms` refills for each partner.
+#[derive(Default)]
+struct LinkRows {
+    /// `π̂_u` denominator `n_u + |C|ρ` (the document counts in `n_u`).
+    denom_u: f64,
+    /// The author's `n¬_uc + ρ` row (the document excluded).
+    author: Vec<f64>,
+    /// A partner's `n_vc` row.
+    partner: Vec<u32>,
+    /// Offsets of the partner's nonzero entries.
+    nonzero: Vec<u32>,
+    /// The partner's term for every candidate.
+    term: Vec<f64>,
+}
+
+impl LinkRows {
+    /// Read author `u`'s row once for every link term of the draw.
+    fn fill_author(&mut self, state: &CpdState, u: usize, rho: f64) {
+        let c_n = state.n_communities;
+        self.denom_u = state.n_u(u) as f64 + c_n as f64 * rho;
+        self.author.clear();
+        self.author
+            .extend((0..c_n).map(|c| state.n_uc(u * c_n + c) as f64 + rho));
     }
 }
 
@@ -797,9 +868,14 @@ fn sample_community<S: DeltaSink>(
     state.comm_topic.add_marginal(c_old, -1);
 
     // Disjoint scratch borrows: `lw` for the candidate weights, `g` for
-    // the per-link bilinear precomputation further down.
+    // the per-link bilinear precomputation further down, `link_rows`
+    // for the count rows the link terms read.
     let SweepScratch {
-        lw_comm, g, stats, ..
+        lw_comm,
+        g,
+        link_rows,
+        stats,
+        ..
     } = scratch;
     zeroed(lw_comm, c_n);
     let lw = lw_comm;
@@ -851,12 +927,20 @@ fn sample_community<S: DeltaSink>(
         }
     }
 
-    // π̂_u(c) denominator with the document re-added.
-    let denom_u = state.n_u(u) as f64 + c_n as f64 * ctx.rho;
+    // The author's row and π̂_u(c) denominator (document re-added).
+    link_rows.fill_author(state, u, ctx.rho);
 
     // Friendship factor over Λ_u (Eq. 3 evidence through ψ(·, λ)).
     if ctx.config.use_friendship {
-        add_membership_link_terms(ctx, state, u, denom_u, lw, rng, MembershipLinks::Friendship);
+        add_membership_link_terms(
+            ctx,
+            state,
+            u,
+            link_rows,
+            lw,
+            rng,
+            MembershipLinks::Friendship,
+        );
     }
 
     // Diffusion factor over Λ_i.
@@ -867,14 +951,14 @@ fn sample_community<S: DeltaSink>(
                     ctx,
                     state,
                     u,
-                    denom_u,
+                    link_rows,
                     lw,
                     rng,
                     MembershipLinks::DiffusionOf(d),
                 );
             }
             DiffusionModel::Full => {
-                add_full_diffusion_terms(ctx, state, d, u, denom_u, lw, g);
+                add_full_diffusion_terms(ctx, state, d, link_rows, lw, g);
             }
         }
     }
@@ -906,11 +990,18 @@ enum MembershipLinks {
 /// no per-visit copies — and the partner endpoint is resolved per
 /// examined link (cheaper than materialising all partners when the
 /// neighbour cap samples a subset).
+///
+/// `rows` carries the author side ([`LinkRows::fill_author`]); each
+/// partner's `n_vc` row is read once. Every candidate the partner has
+/// no document in shares one term (see the module docs): the partner's
+/// terms start as that shared value everywhere and only its nonzero
+/// entries, listed while the row is read, pay their own divisions and
+/// `ln ψ`, so the candidate loop never branches on a count.
 fn add_membership_link_terms(
     ctx: &SweepContext<'_>,
     state: &CpdState,
     u: usize,
-    denom_u: f64,
+    rows: &mut LinkRows,
     lw: &mut [f64],
     rng: &mut StdRng,
     which: MembershipLinks,
@@ -927,6 +1018,18 @@ fn add_membership_link_terms(
     let total = link_ids.len();
     let use_all = cap == 0 || total <= cap;
     let picks = if use_all { total } else { cap };
+    let LinkRows {
+        denom_u,
+        author,
+        partner,
+        nonzero,
+        term,
+    } = rows;
+    let denom_u = *denom_u;
+    partner.clear();
+    partner.resize(c_n, 0);
+    nonzero.clear();
+    nonzero.resize(c_n, 0);
     for pick in 0..picks {
         let idx = if use_all {
             pick
@@ -957,30 +1060,40 @@ fn add_membership_link_terms(
         }
         let pg = pg_of[lid];
         let denom_v = state.n_u(v) as f64 + c_n as f64 * ctx.rho;
-        // S_v = Σ_c (n¬_uc + ρ) π̂_vc  (u's counts currently exclude the doc).
+        state.user_comm.copy_row(v * c_n, partner);
+        // S_v = Σ_c (n¬_uc + ρ) π̂_vc  (u's counts currently exclude the
+        // doc), listing the nonzero n_vc offsets on the way.
         let mut s_v = 0.0f64;
-        for c in 0..c_n {
-            s_v += (state.n_uc(u * c_n + c) as f64 + ctx.rho)
-                * (state.n_uc(v * c_n + c) as f64 + ctx.rho);
+        let mut nnz = 0;
+        for (c, (&a, &n)) in author.iter().zip(partner.iter()).enumerate() {
+            s_v += a * (n as f64 + ctx.rho);
+            nonzero[nnz] = c as u32;
+            nnz += (n != 0) as usize;
         }
         s_v /= denom_v;
-        for (c, l) in lw.iter_mut().enumerate() {
-            let p_vc = (state.n_uc(v * c_n + c) as f64 + ctx.rho) / denom_v;
-            let dot = (s_v + p_vc) / denom_u;
-            *l += ln_psi(dot, pg);
+        // Every candidate with n_vc = 0 has p_vc = ρ / denom_v.
+        let shared = ln_psi((s_v + ctx.rho / denom_v) / denom_u, pg);
+        term.clear();
+        term.resize(c_n, shared);
+        for &c in &nonzero[..nnz] {
+            let p_vc = (partner[c as usize] as f64 + ctx.rho) / denom_v;
+            term[c as usize] = ln_psi((s_v + p_vc) / denom_u, pg);
+        }
+        for (l, &t) in lw.iter_mut().zip(term.iter()) {
+            *l += t;
         }
     }
 }
 
 /// Add the full Eq. 5 diffusion terms for every link incident to doc `d`
 /// while resampling its community. O(|C|²) per link for the bilinear
-/// precomputation, then O(1) per candidate.
+/// precomputation, then O(1) per candidate. `rows` carries the author
+/// side ([`LinkRows::fill_author`]).
 fn add_full_diffusion_terms(
     ctx: &SweepContext<'_>,
     state: &CpdState,
     d: usize,
-    u: usize,
-    denom_u: f64,
+    rows: &LinkRows,
     lw: &mut [f64],
     g: &mut Vec<f64>,
 ) {
@@ -1021,9 +1134,8 @@ fn add_full_diffusion_terms(
         }
         // T0 = Σ_c (n¬_uc + ρ) θ̂_{c,zl} g[c].
         let mut t0 = 0.0f64;
-        for (c, &gc) in g.iter().enumerate() {
-            t0 +=
-                (state.n_uc(u * c_n + c) as f64 + ctx.rho) * state.theta_hat(c, zl, ctx.alpha) * gc;
+        for (c, (&a, &gc)) in rows.author.iter().zip(g.iter()).enumerate() {
+            t0 += a * state.theta_hat(c, zl, ctx.alpha) * gc;
         }
         let mut x = [0.0f64; N_FEATURES];
         ctx.features.fill_static(
@@ -1038,7 +1150,7 @@ fn add_full_diffusion_terms(
             0.0
         };
         for (c, l) in lw.iter_mut().enumerate() {
-            let s = (t0 + state.theta_hat(c, zl, ctx.alpha) * g[c]) / denom_u;
+            let s = (t0 + state.theta_hat(c, zl, ctx.alpha) * g[c]) / rows.denom_u;
             x[F_COMMUNITY] = community_feature(s, c_n, z_n);
             *l += ln_psi(ctx.dot_nu(&x), delta);
         }
@@ -1065,11 +1177,13 @@ pub(crate) fn resample_lambda_range(
 }
 
 /// Compute the full (soft) Eq. 5 logit and feature vector for diffusion
-/// link `lm` under the current state.
+/// link `lm` under the current state. `buf` is the caller's reusable
+/// scratch for [`soft_community_factor`].
 pub(crate) fn diffusion_logit(
     ctx: &SweepContext<'_>,
     state: &CpdState,
     lm: &LinkMeta,
+    buf: &mut Vec<f64>,
 ) -> (f64, [f64; N_FEATURES]) {
     let mut x = [0.0f64; N_FEATURES];
     match ctx.config.diffusion {
@@ -1085,6 +1199,7 @@ pub(crate) fn diffusion_logit(
                 lm.src_author as usize,
                 lm.dst_author as usize,
                 zl,
+                buf,
             );
             ctx.features.fill_static(
                 &mut x,
@@ -1104,28 +1219,42 @@ pub(crate) fn diffusion_logit(
 }
 
 /// `s_comm = Σ_{c,c'} η_{c,c',z} π̂_{u,c} θ̂_{c,z} π̂_{v,c'} θ̂_{c',z}`
-/// (Eq. 4, step 2).
+/// (Eq. 4, step 2), contracted `c`-outer: `π̂_{u,c}` and `θ̂_{c,z}` are
+/// computed once per `c`, and each `c'` has its own accumulator
+/// `inner[c'] = Σ_c η_{c,c',z} π̂_{u,c} θ̂_{c,z}`, fed in `c` order (see
+/// the module docs for why the result keeps every bit). `buf` is reused
+/// scratch of `2|C|`.
 pub(crate) fn soft_community_factor(
     ctx: &SweepContext<'_>,
     state: &CpdState,
     u: usize,
     v: usize,
     z: usize,
+    buf: &mut Vec<f64>,
 ) -> f64 {
     let c_n = state.n_communities;
+    let z_n = state.n_topics;
+    zeroed(buf, 2 * c_n);
+    // inner[c'] and θ̂_{c,z} for every c.
+    let (inner, theta_z) = buf.split_at_mut(c_n);
+    let eta = ctx.eta.as_slice();
+    for (c1, t) in theta_z.iter_mut().enumerate() {
+        let p_u = state.pi_hat(u, c1, ctx.rho);
+        let t_c = state.theta_hat(c1, z, ctx.alpha);
+        *t = t_c;
+        // η_{c1,c',z} for every c', stride |Z|.
+        let eta_row = eta[(c1 * c_n) * z_n + z..].iter().step_by(z_n);
+        for (acc, &e) in inner.iter_mut().zip(eta_row) {
+            *acc += e * p_u * t_c;
+        }
+    }
     let mut acc = 0.0f64;
-    for c2 in 0..c_n {
-        let w2 = state.pi_hat(v, c2, ctx.rho) * state.theta_hat(c2, z, ctx.alpha);
+    for (c2, (&s, &t)) in inner.iter().zip(theta_z.iter()).enumerate() {
+        let w2 = state.pi_hat(v, c2, ctx.rho) * t;
         if w2 == 0.0 {
             continue;
         }
-        let mut inner = 0.0f64;
-        for c1 in 0..c_n {
-            inner += ctx.eta.at(c1, c2, z)
-                * state.pi_hat(u, c1, ctx.rho)
-                * state.theta_hat(c1, z, ctx.alpha);
-        }
-        acc += inner * w2;
+        acc += s * w2;
     }
     acc
 }
@@ -1142,9 +1271,10 @@ pub(crate) fn resample_delta_range(
     out_x: &mut [[f64; N_FEATURES]],
     rng: &mut StdRng,
 ) {
+    let mut buf = Vec::new();
     for (slot, lid) in (lo..hi).enumerate() {
         let lm = &ctx.links[lid];
-        let (w, x) = diffusion_logit(ctx, state, lm);
+        let (w, x) = diffusion_logit(ctx, state, lm, &mut buf);
         out_delta[slot] = sample_pg1(rng, w);
         out_x[slot] = x;
     }
@@ -1278,31 +1408,271 @@ mod tests {
         assert!(xs.iter().all(|x| x[0] == 1.0));
     }
 
-    #[test]
-    fn soft_community_factor_matches_brute_force() {
-        let (g, cfg) = ctx_parts();
-        let features = UserFeatures::compute(&g);
-        let links = link_metadata(&g);
-        // Non-uniform eta to make the test meaningful.
-        let counts = vec![4.0, 1.0, 2.0, 0.5, 1.0, 3.0, 0.2, 2.2];
-        let eta = Eta::from_counts(2, 2, &counts, 0.1);
-        let nu = vec![0.0; N_FEATURES];
-        let tables = SamplerTables::new(&g, &cfg);
-        let ctx = SweepContext::new(&g, &cfg, &eta, &nu, &features, &links, &tables);
-        let state = CpdState::init(&g, &cfg);
-        let (u, v, z) = (0usize, 1usize, 1usize);
-        let fast = soft_community_factor(&ctx, &state, u, v, z);
-        let mut brute = 0.0;
-        for c1 in 0..2 {
-            for c2 in 0..2 {
-                brute += eta.at(c1, c2, z)
-                    * state.pi_hat(u, c1, ctx.rho)
-                    * state.theta_hat(c1, z, ctx.alpha)
-                    * state.pi_hat(v, c2, ctx.rho)
-                    * state.theta_hat(c2, z, ctx.alpha);
+    /// The link-term fixture: a graph under the experiment prior
+    /// (`ρ = 0.1`) with `|C| = 5`, so π̂ rows are far from flat and
+    /// count rows have zero and nonzero entries, and a non-uniform η.
+    struct LinkFixture {
+        g: SocialGraph,
+        cfg: CpdConfig,
+        features: UserFeatures,
+        links: Vec<LinkMeta>,
+        eta: Eta,
+        nu: Vec<f64>,
+        tables: SamplerTables,
+    }
+
+    /// A generated corpus whose users differ in documents and
+    /// friends, so `π̂` denominators vary (on the small graph every user
+    /// has 3 documents, and a one-ulp change to a division can round
+    /// back to the same bits at every candidate).
+    fn varied_graph() -> SocialGraph {
+        use cpd_datagen::{generate, GenConfig, Scale};
+        let gen = GenConfig {
+            mean_friend_degree: 12.0,
+            n_diffusions: 600,
+            ..GenConfig::twitter_like(Scale::Tiny)
+        };
+        generate(&gen).0
+    }
+
+    impl LinkFixture {
+        fn new(g: SocialGraph, max_neighbors: usize) -> Self {
+            let cfg = CpdConfig {
+                rho: Some(0.1),
+                max_neighbors,
+                ..CpdConfig::new(5, 3)
+            };
+            let counts: Vec<f64> = (0..5 * 5 * 3)
+                .map(|i| ((i * 7919) % 13) as f64 * 0.37)
+                .collect();
+            Self {
+                features: UserFeatures::compute(&g),
+                links: link_metadata(&g),
+                eta: Eta::from_counts(5, 3, &counts, 0.1),
+                nu: vec![0.3, -0.2, 0.5, 0.1, -0.4, 0.2, 0.05],
+                tables: SamplerTables::new(&g, &cfg),
+                g,
+                cfg,
             }
         }
-        assert!((fast - brute).abs() < 1e-12);
+
+        fn ctx(&self) -> SweepContext<'_> {
+            SweepContext::new(
+                &self.g,
+                &self.cfg,
+                &self.eta,
+                &self.nu,
+                &self.features,
+                &self.links,
+                &self.tables,
+            )
+        }
+
+        /// The state after a few sweeps and λ/δ passes.
+        fn swept_state(&self) -> CpdState {
+            let ctx = self.ctx();
+            let mut state = CpdState::init(&self.g, &self.cfg);
+            let mut rng = seeded_rng(9);
+            let mut scratch = SweepScratch::new();
+            let users: Vec<u32> = (0..self.g.n_users() as u32).collect();
+            for _ in 0..3 {
+                sweep_user_docs(
+                    &ctx,
+                    &mut state,
+                    &users,
+                    &mut rng,
+                    SweepPhase::Full,
+                    &mut NoDelta,
+                    &mut scratch,
+                );
+                let mut lam = std::mem::take(&mut state.lambda);
+                resample_lambda_range(&ctx, &state, 0, lam.len(), &mut lam, &mut rng);
+                state.lambda = lam;
+                let mut del = std::mem::take(&mut state.delta);
+                let mut xs = vec![[0.0; N_FEATURES]; del.len()];
+                resample_delta_range(&ctx, &state, 0, del.len(), &mut del, &mut xs, &mut rng);
+                state.delta = del;
+            }
+            state
+        }
+    }
+
+    /// The Eq. 4 loop before the `c`-outer contraction — `c'`
+    /// outermost, one serial chain per `c'`, π̂ and θ̂ divided afresh
+    /// for every term — kept as the bit reference.
+    fn soft_community_factor_reference(
+        ctx: &SweepContext<'_>,
+        state: &CpdState,
+        u: usize,
+        v: usize,
+        z: usize,
+    ) -> f64 {
+        let c_n = state.n_communities;
+        let mut acc = 0.0f64;
+        for c2 in 0..c_n {
+            let w2 = state.pi_hat(v, c2, ctx.rho) * state.theta_hat(c2, z, ctx.alpha);
+            if w2 == 0.0 {
+                continue;
+            }
+            let mut inner = 0.0f64;
+            for c1 in 0..c_n {
+                inner += ctx.eta.at(c1, c2, z)
+                    * state.pi_hat(u, c1, ctx.rho)
+                    * state.theta_hat(c1, z, ctx.alpha);
+            }
+            acc += inner * w2;
+        }
+        acc
+    }
+
+    /// The membership link terms before the shared zero-count term —
+    /// both rows read through the plane for every partner, two
+    /// divisions and one `ln ψ` per candidate — kept as the bit
+    /// reference.
+    fn membership_link_terms_reference(
+        ctx: &SweepContext<'_>,
+        state: &CpdState,
+        u: usize,
+        denom_u: f64,
+        lw: &mut [f64],
+        rng: &mut StdRng,
+        which: MembershipLinks,
+    ) {
+        let c_n = state.n_communities;
+        let (link_ids, pg_of): (&[u32], &[f64]) = match which {
+            MembershipLinks::Friendship => {
+                (ctx.graph.friend_links_of(UserId(u as u32)), &state.lambda)
+            }
+            MembershipLinks::DiffusionOf(d) => {
+                (ctx.graph.diffusion_links_of(DocId(d as u32)), &state.delta)
+            }
+        };
+        let cap = ctx.config.max_neighbors;
+        let total = link_ids.len();
+        let use_all = cap == 0 || total <= cap;
+        let picks = if use_all { total } else { cap };
+        for pick in 0..picks {
+            let idx = if use_all {
+                pick
+            } else {
+                rng.gen_range(0..total)
+            };
+            let lid = link_ids[idx] as usize;
+            let v = match which {
+                MembershipLinks::Friendship => {
+                    let l = ctx.graph.friendships()[lid];
+                    if l.from.index() == u {
+                        l.to.index()
+                    } else {
+                        l.from.index()
+                    }
+                }
+                MembershipLinks::DiffusionOf(d) => {
+                    let lm = &ctx.links[lid];
+                    if lm.src_doc as usize == d {
+                        lm.dst_author as usize
+                    } else {
+                        lm.src_author as usize
+                    }
+                }
+            };
+            if v == u {
+                continue;
+            }
+            let pg = pg_of[lid];
+            let denom_v = state.n_u(v) as f64 + c_n as f64 * ctx.rho;
+            let mut s_v = 0.0f64;
+            for c in 0..c_n {
+                s_v += (state.n_uc(u * c_n + c) as f64 + ctx.rho)
+                    * (state.n_uc(v * c_n + c) as f64 + ctx.rho);
+            }
+            s_v /= denom_v;
+            for (c, l) in lw.iter_mut().enumerate() {
+                let p_vc = (state.n_uc(v * c_n + c) as f64 + ctx.rho) / denom_v;
+                let dot = (s_v + p_vc) / denom_u;
+                *l += ln_psi(dot, pg);
+            }
+        }
+    }
+
+    /// The `c`-outer Eq. 4 contraction returns the same bits as the
+    /// `c'`-outer loop for every (u, v, z) of the small graph and of the
+    /// varied corpus, with one scratch buffer reused throughout.
+    #[test]
+    fn soft_community_factor_matches_brute_force() {
+        let mut buf = Vec::new();
+        for g in [small_graph(), varied_graph()] {
+            let fx = LinkFixture::new(g, 0);
+            let ctx = fx.ctx();
+            let state = fx.swept_state();
+            let users = fx.g.n_users();
+            for (u, v) in (0..users).flat_map(|u| (0..users).map(move |v| (u, v))) {
+                for z in 0..state.n_topics {
+                    let fast = soft_community_factor(&ctx, &state, u, v, z, &mut buf);
+                    let want = soft_community_factor_reference(&ctx, &state, u, v, z);
+                    assert!(want > 0.0);
+                    assert_eq!(
+                        fast.to_bits(),
+                        want.to_bits(),
+                        "(u, v, z) = ({u}, {v}, {z})"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The membership link terms give every candidate of every document
+    /// of the varied corpus the same bits as the per-candidate loop, for
+    /// friendship links and for diffusion links modelled like
+    /// friendships (the no-heterogeneity ablation), with every
+    /// neighbour used and under a neighbour cap that samples (same RNG
+    /// draws).
+    #[test]
+    fn membership_link_terms_match_reference() {
+        for cap in [0, 5] {
+            let fx = LinkFixture::new(varied_graph(), cap);
+            let ctx = fx.ctx();
+            let state = fx.swept_state();
+            let c_n = state.n_communities;
+            // Partners take both the shared zero-count term and their
+            // own terms.
+            let zeros = (0..fx.g.n_users() * c_n)
+                .filter(|&i| state.n_uc(i) == 0)
+                .count();
+            assert!(zeros > 0 && zeros < fx.g.n_users() * c_n);
+            let mut rows = LinkRows::default();
+            for d in 0..fx.g.n_docs() {
+                let u = fx.g.docs()[d].author.index();
+                rows.fill_author(&state, u, ctx.rho);
+                let denom_u = state.n_u(u) as f64 + c_n as f64 * ctx.rho;
+                for which in [MembershipLinks::Friendship, MembershipLinks::DiffusionOf(d)] {
+                    let start: Vec<f64> = (0..c_n).map(|c| -0.3 * c as f64 - 1.1).collect();
+                    let (mut fast, mut want) = (start.clone(), start);
+                    let (mut rng_fast, mut rng_want) = (seeded_rng(d as u64), seeded_rng(d as u64));
+                    add_membership_link_terms(
+                        &ctx,
+                        &state,
+                        u,
+                        &mut rows,
+                        &mut fast,
+                        &mut rng_fast,
+                        which,
+                    );
+                    membership_link_terms_reference(
+                        &ctx,
+                        &state,
+                        u,
+                        denom_u,
+                        &mut want,
+                        &mut rng_want,
+                        which,
+                    );
+                    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&fast), bits(&want), "cap {cap}, doc {d}");
+                    assert_eq!(rng_fast.gen::<u64>(), rng_want.gen::<u64>());
+                }
+            }
+        }
     }
 
     #[test]
@@ -1317,7 +1687,7 @@ mod tests {
         let ctx = SweepContext::new(&g, &cfg, &eta, &nu, &features, &links, &tables);
         let state = CpdState::init(&g, &cfg);
         let lm = &links[0];
-        let (w, _) = diffusion_logit(&ctx, &state, lm);
+        let (w, _) = diffusion_logit(&ctx, &state, lm, &mut Vec::new());
         let want = state.membership_dot(lm.src_author as usize, lm.dst_author as usize, ctx.rho);
         assert!((w - want).abs() < 1e-12);
     }

@@ -212,6 +212,7 @@ pub(crate) fn build_nu_training_set_into(
 
     let n_docs = ctx.graph.n_docs();
     let n_neg = (n_pos as f64 * ctx.config.negative_ratio).round() as usize;
+    let mut buf = Vec::new();
     let mut produced = 0usize;
     let mut guard = 0usize;
     while produced < n_neg && guard < n_neg * 30 + 100 {
@@ -233,7 +234,7 @@ pub(crate) fn build_nu_training_set_into(
             dst_author,
             at: ctx.graph.docs()[i as usize].timestamp,
         };
-        let (_, x) = diffusion_logit(ctx, state, &lm);
+        let (_, x) = diffusion_logit(ctx, state, &lm, &mut buf);
         examples.push(NuExample { x, label: false });
         produced += 1;
     }

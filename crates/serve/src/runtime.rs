@@ -1356,6 +1356,15 @@ fn execute(
                     v.index()
                 ));
             }
+            // The features come from a graph of their own, which a hot
+            // reload to a larger model does not extend.
+            let f_n = features.n_users();
+            if let Some(w) = [u, v].into_iter().find(|w| w.index() >= f_n) {
+                return QueryResponse::Error(format!(
+                    "user {} has no diffusion features ({f_n} users covered)",
+                    w.index()
+                ));
+            }
             if let Err(e) = check_words(&words) {
                 return QueryResponse::Error(e);
             }

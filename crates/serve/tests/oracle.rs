@@ -2,12 +2,17 @@
 //! [`ProfileIndex`] query must return the **same answers** as the
 //! dense-scan reference implementations in `cpd_core::apps` — same
 //! ordering, scores within 1e-12 (in practice bit-identical, because
-//! the two paths share one numeric pipeline).
+//! the two paths share one numeric pipeline). Link scores are held to
+//! bit equality.
 
-use cpd_core::{query_topics, rank_communities, Cpd, CpdConfig, CpdModel};
+use cpd_core::{
+    query_topics, rank_communities, Cpd, CpdConfig, CpdModel, DiffusionPredictor, UserFeatures,
+};
 use cpd_datagen::{generate, GenConfig, Scale};
+use cpd_prob::rng::seeded_rng;
 use cpd_serve::ProfileIndex;
-use social_graph::WordId;
+use rand::Rng;
+use social_graph::{DocId, UserId, WordId};
 
 fn fitted() -> (CpdModel, CpdConfig, usize) {
     let (g, _) = generate(&GenConfig::twitter_like(Scale::Tiny));
@@ -107,5 +112,61 @@ fn index_link_scores_match_predictor_math() {
             index.friendship_score(social_graph::UserId(u), social_graph::UserId(v)),
             want
         );
+    }
+}
+
+/// `ProfileIndex::diffusion_score` answers exactly what
+/// `DiffusionPredictor::score` answers (Eq. 18), for every diffusion
+/// link of the fitted corpus and for random (user, document, time)
+/// triples, under the full model and each ablation that changes the
+/// diffusion factor. A faster serving kernel for Eq. 4 must keep this.
+#[test]
+fn index_diffusion_scores_match_predictor() {
+    let (g, _) = generate(&GenConfig::twitter_like(Scale::Tiny));
+    let features = UserFeatures::compute(&g);
+    let base = CpdConfig {
+        em_iters: 3,
+        gibbs_sweeps: 1,
+        nu_iters: 10,
+        seed: 99,
+        ..CpdConfig::experiment(4, 6)
+    };
+    let mut rng = seeded_rng(7);
+    let random: Vec<(UserId, DocId, u32)> = (0..200)
+        .map(|_| {
+            (
+                UserId(rng.gen_range(0..g.n_users() as u32)),
+                DocId(rng.gen_range(0..g.n_docs() as u32)),
+                rng.gen_range(0..g.n_timestamps()),
+            )
+        })
+        .collect();
+    let observed = g
+        .diffusions()
+        .iter()
+        .map(|l| (g.doc(l.src).author, l.dst, l.at));
+    let triples: Vec<_> = observed.chain(random).collect();
+    for (name, cfg) in [
+        ("full", base.clone()),
+        ("no_topic_factor", base.clone().no_topic_factor()),
+        (
+            "no_individual_and_topic",
+            base.clone().no_individual_and_topic(),
+        ),
+        ("no_heterogeneity", base.clone().no_heterogeneity()),
+    ] {
+        let model = Cpd::new(cfg.clone()).unwrap().fit(&g).model;
+        let predictor = DiffusionPredictor::new(&model, &features, &cfg);
+        let index = ProfileIndex::build(model.clone(), &cfg);
+        for &(u, dst, t) in &triples {
+            let doc = g.doc(dst);
+            assert_eq!(
+                index.diffusion_score(&features, u, doc.author, &doc.words, t),
+                predictor.score(&g, u, dst, t),
+                "{name}: u {} doc {} t {t}",
+                u.index(),
+                dst.index()
+            );
+        }
     }
 }

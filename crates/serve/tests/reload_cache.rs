@@ -3,13 +3,13 @@
 //! the cache returns byte-identical profiles until the generation
 //! moves.
 
-use cpd_core::{io::save_model, Cpd, CpdConfig};
+use cpd_core::{io::save_model, Cpd, CpdConfig, UserFeatures};
 use cpd_datagen::{generate, GenConfig, Scale};
 use cpd_serve::{
     FoldIn, FoldInItem, FoldScratch, ProfileIndex, QueryRequest, QueryResponse, ServeOptions,
     ServeRuntime,
 };
-use social_graph::{UserId, WordId};
+use social_graph::{Document, SocialGraphBuilder, UserId, WordId};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -256,4 +256,93 @@ fn zero_capacity_disables_the_cache_entirely() {
     assert_eq!(a, b);
     let d = runtime.shutdown();
     assert_eq!(d.cache, cpd_serve::CacheStats::default());
+}
+
+/// Diffusion features computed from a 2-user graph.
+fn two_user_features() -> Arc<UserFeatures> {
+    let mut b = SocialGraphBuilder::new(2, 4);
+    let d0 = b.add_document(Document::new(UserId(0), vec![WordId(0), WordId(1)], 0));
+    let d1 = b.add_document(Document::new(UserId(1), vec![WordId(2)], 1));
+    b.add_friendship(UserId(0), UserId(1));
+    b.add_diffusion(d1, d0, 1);
+    Arc::new(UserFeatures::compute(&b.build().unwrap()))
+}
+
+fn diffusion_query(u: u32, v: u32) -> QueryRequest {
+    QueryRequest::DiffusionScore {
+        u: UserId(u),
+        v: UserId(v),
+        words: vec![WordId(0), WordId(2)],
+        at: 0,
+    }
+}
+
+/// The answer is a typed error naming `user` and the 2 covered users —
+/// not a caught panic.
+fn assert_uncovered(answer: &QueryResponse, user: u32) {
+    match answer {
+        QueryResponse::Error(e) => {
+            assert!(
+                e.contains(&format!("user {user} ")),
+                "error does not name user {user}: {e}"
+            );
+            assert!(e.contains("2 users covered"), "{e}");
+            assert!(!e.contains("panicked"), "{e}");
+        }
+        other => panic!("expected a typed error for user {user}, got {other:?}"),
+    }
+}
+
+/// A `DiffusionScore` for a trained user the runtime's `UserFeatures`
+/// do not cover is a typed error, on a fresh runtime and after a hot
+/// reload to a model with more users than the features cover; covered
+/// users keep scoring.
+#[test]
+fn diffusion_score_outside_feature_coverage_is_a_typed_error() {
+    let (index, cfg) = fit_index(41);
+    assert_eq!(index.model().pi.len(), 120);
+
+    // Fresh runtime: a 120-user model served with 2-user features.
+    let runtime = ServeRuntime::new(
+        Arc::clone(&index),
+        Some(two_user_features()),
+        ServeOptions::default(),
+    )
+    .unwrap();
+    let answers = runtime.submit_batch(vec![
+        diffusion_query(0, 1),
+        diffusion_query(119, 0),
+        diffusion_query(1, 119),
+    ]);
+    assert!(matches!(answers[0], QueryResponse::Score(_)), "{answers:?}");
+    assert_uncovered(&answers[1], 119);
+    assert_uncovered(&answers[2], 119);
+    runtime.shutdown();
+
+    // Reload: the runtime starts on a 2-user model its features cover,
+    // then a hot reload brings in the 120-user model.
+    let mut small = index.model().clone();
+    small.pi.truncate(2);
+    let runtime = ServeRuntime::new(
+        Arc::new(ProfileIndex::build(small, &cfg)),
+        Some(two_user_features()),
+        ServeOptions::default(),
+    )
+    .unwrap();
+    let before = runtime.submit_batch(vec![diffusion_query(1, 0), diffusion_query(5, 0)]);
+    assert!(matches!(before[0], QueryResponse::Score(_)), "{before:?}");
+    assert!(
+        matches!(&before[1], QueryResponse::Error(e) if e.contains("2 trained users")),
+        "{before:?}"
+    );
+    let dir = std::env::temp_dir().join("cpd-serve-feature-coverage-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("larger.cpd");
+    save_model(index.model(), &path).unwrap();
+    assert_eq!(runtime.reload(&path).unwrap(), 2);
+    let after = runtime.submit_batch(vec![diffusion_query(1, 0), diffusion_query(5, 0)]);
+    assert!(matches!(after[0], QueryResponse::Score(_)), "{after:?}");
+    assert_uncovered(&after[1], 5);
+    runtime.shutdown();
+    std::fs::remove_file(&path).ok();
 }
