@@ -130,22 +130,10 @@ fn main() -> ExitCode {
             per_sweep(|o| o.user_comm),
             mean(&lf.diagnostics.merge_seconds),
         );
-        // Stripe-ownership locality of the same sweeps: the fraction of
-        // RMWs that stayed in the issuing worker's own stripes (the
-        // topology-aware layout's target metric), plus what the shared
-        // planes cost in memory.
-        let (local, remote) = ops
-            .iter()
-            .fold((0u64, 0u64), |(l, r), o| (l + o.local, r + o.remote));
+        // What the shared planes cost in memory.
         let fp = lf.diagnostics.plane_bytes;
         println!(
-            "lock-free plane locality: {:.1}% of RMWs in owned stripes ({local} local / {remote} remote); \
-             planes n_zw {:.1} MB, n_cz {:.1} MB, n_uc {:.1} MB (total {:.1} MB resident)",
-            if local + remote > 0 {
-                100.0 * local as f64 / (local + remote) as f64
-            } else {
-                0.0
-            },
+            "lock-free planes n_zw {:.1} MB, n_cz {:.1} MB, n_uc {:.1} MB (total {:.1} MB resident)",
             fp.word_topic as f64 / 1e6,
             fp.comm_topic as f64 / 1e6,
             fp.user_comm as f64 / 1e6,

@@ -36,7 +36,7 @@ pub enum ParallelRuntime {
     /// benchmarking reference and differential-testing oracle.
     CloneRebuild,
     /// `DeltaSharded` plus a shared lock-free word-topic plane: workers
-    /// publish `n_zw`/`n_z` increments straight into shared striped
+    /// publish `n_zw`/`n_z` increments straight into shared packed
     /// atomics during the sweep, so the biggest count matrix drops out
     /// of the delta logs, the barrier fold and the replica sync
     /// entirely. Mid-sweep reads may observe other shards' in-flight
@@ -150,32 +150,6 @@ pub struct CpdConfig {
     pub topic_factor: bool,
     /// Model friendship links at all (COLD does not).
     pub use_friendship: bool,
-    /// Topology-aware layout for the shared count planes
-    /// (`LockFreeCounts` only): stripe boundaries rounded to 64-byte
-    /// cache lines so adjacent stripes never false-share, and the tiny
-    /// hot marginals (`n_z`, `n_c`) stride-padded to one slot per line.
-    /// Changes where bytes live, never what they count — barrier
-    /// exactness and shard partitioning are identical either way. On by
-    /// default; the `plane_locality` bench's baseline arm turns it off
-    /// to measure the packed legacy layout.
-    pub plane_padding: bool,
-    /// Pin each sharded worker to a CPU (`worker index mod
-    /// available_parallelism`) via `sched_setaffinity`, so first-touch
-    /// page placement and the stripe-ownership map stay aligned with
-    /// the topology for the whole fit. Linux-only; degrades to a logged
-    /// no-op when the kernel refuses (containers, cpuset limits) or on
-    /// other platforms. Off by default — pinning helps on multi-socket
-    /// boxes and can hurt on shared/oversubscribed ones.
-    pub affinity: bool,
-    /// Block each lock-free worker's document queue into word-range
-    /// tiles (by median word id) so successive token updates hit warm
-    /// `n_zw` stripes instead of striding the whole plane. Only changes
-    /// the per-worker document *visit order*, and only under
-    /// `LockFreeCounts` — the approximate-Gibbs relaxation already
-    /// tolerates order changes there, while the draw-identical runtimes
-    /// (`DeltaSharded`, serial, `CloneRebuild`) keep user order and
-    /// their golden-fingerprint guarantees.
-    pub sweep_tiling: bool,
 }
 
 impl CpdConfig {
@@ -205,9 +179,6 @@ impl CpdConfig {
             individual_factor: true,
             topic_factor: true,
             use_friendship: true,
-            plane_padding: true,
-            affinity: false,
-            sweep_tiling: true,
         }
     }
 
@@ -268,25 +239,28 @@ impl CpdConfig {
         if self.n_communities == 0 || self.n_topics == 0 {
             return Err("need at least one community and one topic".into());
         }
-        if self.beta <= 0.0 {
-            return Err("beta must be positive".into());
+        // Non-finite priors trip the log-cache assertions mid-fit; an
+        // infinite negative ratio overflows the negative-sample count;
+        // a NaN learning rate silently returns an all-NaN ν.
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        if !positive(self.beta) {
+            return Err("beta must be finite and positive".into());
         }
-        if let Some(a) = self.alpha {
-            if a <= 0.0 {
-                return Err("alpha must be positive".into());
-            }
+        if !self.alpha.is_none_or(positive) {
+            return Err("alpha must be finite and positive".into());
         }
-        if let Some(r) = self.rho {
-            if r <= 0.0 {
-                return Err("rho must be positive".into());
-            }
+        if !self.rho.is_none_or(positive) {
+            return Err("rho must be finite and positive".into());
         }
-        if self.negative_ratio < 0.0 {
-            return Err("negative_ratio must be non-negative".into());
+        if !(self.negative_ratio.is_finite() && self.negative_ratio >= 0.0) {
+            return Err("negative_ratio must be finite and non-negative".into());
+        }
+        if !positive(self.nu_learning_rate) {
+            return Err("nu_learning_rate must be finite and positive".into());
         }
         // At 0 a community with no diffusion links gets a 0/0 η row,
         // which the snapshot loader would then refuse.
-        if !(self.eta_smoothing.is_finite() && self.eta_smoothing > 0.0) {
+        if !positive(self.eta_smoothing) {
             return Err("eta_smoothing must be finite and positive".into());
         }
         if let Some(t) = self.threads {
@@ -354,6 +328,25 @@ mod tests {
             c = CpdConfig::new(10, 10);
             c.eta_smoothing = eta_smoothing;
             assert!(c.validate().is_err(), "eta_smoothing {eta_smoothing}");
+        }
+        for bad in [f64::NAN, f64::INFINITY] {
+            c = CpdConfig::new(10, 10);
+            c.beta = bad;
+            assert!(c.validate().is_err(), "beta {bad}");
+            c = CpdConfig::new(10, 10);
+            c.alpha = Some(bad);
+            assert!(c.validate().is_err(), "alpha {bad}");
+            c = CpdConfig::new(10, 10);
+            c.rho = Some(bad);
+            assert!(c.validate().is_err(), "rho {bad}");
+            c = CpdConfig::new(10, 10);
+            c.negative_ratio = bad;
+            assert!(c.validate().is_err(), "negative_ratio {bad}");
+        }
+        for nu_learning_rate in [0.0, -0.5, f64::NAN, f64::INFINITY] {
+            c = CpdConfig::new(10, 10);
+            c.nu_learning_rate = nu_learning_rate;
+            assert!(c.validate().is_err(), "nu_learning_rate {nu_learning_rate}");
         }
     }
 }

@@ -426,55 +426,13 @@ pub(crate) fn sweep_user_docs<S: DeltaSink>(
     scratch.begin_sweep(state.n_communities);
     for &u in users {
         for d in ctx.graph.docs_of(UserId(u)) {
-            sweep_one_doc(ctx, state, d.index(), rng, phase, sink, scratch);
+            if phase != SweepPhase::DetectOnly {
+                sample_topic(ctx, state, d.index(), rng, phase, sink, scratch);
+            }
+            if phase != SweepPhase::ProfileOnly {
+                sample_community(ctx, state, d.index(), rng, phase, sink, scratch);
+            }
         }
-    }
-}
-
-/// One full sweep over an explicit document queue, in queue order.
-///
-/// The locality-tiled schedule of the lock-free runtime: the worker's
-/// documents arrive pre-blocked into word-range tiles, and a word range
-/// is one contiguous stretch of the word-major `n_zw` plane, so
-/// successive token updates stay inside a warm slice instead of
-/// scattering over the whole plane. Per-document work is identical to
-/// [`sweep_user_docs`] — only the visit order differs, which the
-/// approximate-Gibbs relaxation already tolerates (increments commute;
-/// the queue covers each of the worker's documents exactly once, so
-/// barrier counts stay exact).
-/// Draw-identical runtimes (`DeltaSharded`, serial) must keep using
-/// [`sweep_user_docs`].
-pub(crate) fn sweep_doc_queue<S: DeltaSink>(
-    ctx: &SweepContext<'_>,
-    state: &mut CpdState,
-    docs: &[u32],
-    rng: &mut StdRng,
-    phase: SweepPhase,
-    sink: &mut S,
-    scratch: &mut SweepScratch,
-) {
-    scratch.begin_sweep(state.n_communities);
-    for &d in docs {
-        sweep_one_doc(ctx, state, d as usize, rng, phase, sink, scratch);
-    }
-}
-
-/// Resample one document: topic then community, phase-gated.
-#[inline]
-fn sweep_one_doc<S: DeltaSink>(
-    ctx: &SweepContext<'_>,
-    state: &mut CpdState,
-    d: usize,
-    rng: &mut StdRng,
-    phase: SweepPhase,
-    sink: &mut S,
-    scratch: &mut SweepScratch,
-) {
-    if phase != SweepPhase::DetectOnly {
-        sample_topic(ctx, state, d, rng, phase, sink, scratch);
-    }
-    if phase != SweepPhase::ProfileOnly {
-        sample_community(ctx, state, d, rng, phase, sink, scratch);
     }
 }
 

@@ -26,6 +26,8 @@
 //! assert_eq!(fit.model.pi.len(), graph.n_users());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod apps;
 pub mod config;
 pub mod counts;
@@ -45,7 +47,7 @@ pub use apps::ranking::{
     exp_shift_max, normalise_and_rank, query_log_affinities, query_topics, rank_communities,
 };
 pub use config::{CpdConfig, DiffusionModel, ParallelRuntime, SamplerKind, TrainingMode};
-pub use counts::{AtomicPlane, CountPlane, OpsSplit, PairCounts};
+pub use counts::{AtomicPlane, CountPlane, PairCounts};
 pub use features::UserFeatures;
 pub use gibbs::SamplerStats;
 pub use model::{Cpd, FitDiagnostics, FitResult, PlaneFootprint};

@@ -11,8 +11,8 @@ use crate::mstep::{build_nu_training_set_into, estimate_eta_with, fit_nu, MstepS
 use crate::parallel::SweepStats;
 use crate::parallel::{
     allocate_segments, choose_runtime, clone_rebuild_doc_sweep, parallel_resample_delta,
-    parallel_resample_lambda, segment_users, AtomicOpsBreakdown, FirstTouchPlan, FoldBreakdown,
-    Segmentation, WorkerPool,
+    parallel_resample_lambda, segment_users, AtomicOpsBreakdown, FoldBreakdown, Segmentation,
+    WorkerPool,
 };
 use crate::profiles::{CpdModel, Eta};
 use crate::state::{link_metadata, CpdState, NoDelta};
@@ -26,7 +26,8 @@ use std::time::Instant;
 /// shared atomic planes, whichever the resolved runtime installed) —
 /// at V=1M the `W × Z` word-topic plane is the model's dominant
 /// allocation, so this records what a fit actually costs in memory.
-/// Padded atomic layouts include their alignment slack.
+/// Both backends hold 4 bytes per slot, so the footprint does not
+/// depend on the runtime.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PlaneFootprint {
     /// `n_uc` plane + `n_u` marginal bytes.
@@ -92,7 +93,7 @@ pub struct FitDiagnostics {
     /// `choose_runtime` before any worker spawns.
     pub runtime: ParallelRuntime,
     /// Resident bytes of the three count planes under the resolved
-    /// runtime (padded shared planes include alignment slack).
+    /// runtime (4 bytes per slot on either backend).
     pub plane_bytes: PlaneFootprint,
     /// Sampler accounting per document sweep (merged across workers):
     /// alias-table rebuild seconds, MH proposal/accept tallies, and
@@ -378,29 +379,18 @@ impl Cpd {
             // each worker cloning the freshly initialised state exactly
             // once.
             let mut pool: Option<WorkerPool<'_>> = match (&user_groups, runtime) {
-                (Some(groups), ParallelRuntime::DeltaSharded) => Some(WorkerPool::spawn(
-                    scope, graph, cfg, &features, &links, &tables, groups, &state, None,
-                )),
-                (Some(groups), ParallelRuntime::LockFreeCounts) => {
-                    // Lift every count pair onto *cold* shared atomic
-                    // planes before the workers clone the state, so each
-                    // replica aliases one plane set (one stripe range
-                    // owned per worker) and the delta logs shrink to
-                    // assignments + `n_tz`. The planes stay unwritten
-                    // here: each worker first-touches its owned stripes
-                    // on its own thread (NUMA page placement), and
-                    // `spawn` blocks until the planes are exact.
-                    let plan = FirstTouchPlan::install(&mut state, groups.len(), cfg.plane_padding);
+                (Some(groups), ParallelRuntime::DeltaSharded | ParallelRuntime::LockFreeCounts) => {
+                    if runtime == ParallelRuntime::LockFreeCounts {
+                        // Lift every count pair onto shared atomic planes
+                        // before the workers clone the state, so each
+                        // replica aliases one plane set and the delta logs
+                        // shrink to assignments + `n_tz`.
+                        state.user_comm = state.user_comm.to_shared();
+                        state.comm_topic = state.comm_topic.to_shared();
+                        state.word_topic = state.word_topic.to_shared();
+                    }
                     Some(WorkerPool::spawn(
-                        scope,
-                        graph,
-                        cfg,
-                        &features,
-                        &links,
-                        &tables,
-                        groups,
-                        &state,
-                        Some(plan),
+                        scope, graph, cfg, &features, &links, &tables, groups, &state,
                     ))
                 }
                 _ => None,

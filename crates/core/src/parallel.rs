@@ -33,14 +33,14 @@
 //! * **`LockFreeCounts`**: like `DeltaSharded`, but the **full plane
 //!   set** — word-topic (`n_zw`/`n_z`), community-topic (`n_cz`/`n_c`)
 //!   and user-community (`n_uc`, with the constant `n_u` marginal) —
-//!   lives on **shared atomic planes**
-//!   ([`crate::counts::AtomicPlane`], cache-aligned striped slabs)
-//!   that every replica aliases. Workers publish count increments
-//!   directly during the sweep with relaxed atomics, so those arrays
-//!   vanish from the `CountDelta` logs, are never folded, and need no
-//!   replica sync at all — the log shrinks to the assignment writes
-//!   plus the tiny `n_tz` entries, and the end-to-end trainer is
-//!   lock-free in its counts. Mid-sweep reads may observe other
+//!   lives on **shared atomic planes** (one packed
+//!   [`crate::counts::AtomicPlane`] per array) that every replica
+//!   aliases. Workers publish count increments directly during the
+//!   sweep with relaxed atomics, so those arrays vanish from the
+//!   `CountDelta` logs, are never folded, and need no replica sync at
+//!   all — the log shrinks to the assignment writes plus the tiny
+//!   `n_tz` entries, and the end-to-end trainer is lock-free in its
+//!   counts. Mid-sweep reads may observe other
 //!   shards' in-flight updates — the standard approximate-Gibbs
 //!   relaxation, so this runtime is *distributionally* equivalent to
 //!   the others (the differential tests in `tests/parallel_lockfree.rs`
@@ -48,49 +48,24 @@
 //!   the counts are still **exact at every barrier** (atomic
 //!   read-modify-writes lose nothing).
 //!
-//! # Topology awareness (`LockFreeCounts`)
-//!
-//! The lock-free planes are laid out and scheduled against the machine,
-//! not just against the index space — see the `counts.rs` module docs
-//! for the layout half of the story:
-//!
-//! * **Stripe ownership + first-touch placement.** Each worker owns a
-//!   contiguous block of plane stripes ([`crate::counts::AtomicPlane::owned_range`],
-//!   a stable map fixed at spawn). The planes are allocated zeroed but
-//!   *untouched* on the coordinator; at spawn every worker writes the
-//!   initial tallies into exactly its owned stripes on its own thread
-//!   (`FirstTouchPlan`), so the kernel's first-touch policy places
-//!   each stripe's pages on the owning worker's NUMA node. The pool
-//!   waits for all fills before the first sweep, so counts are exact
-//!   from the first barrier on.
-//! * **Affinity pinning.** With [`crate::config::CpdConfig::affinity`]
-//!   set, each worker pins itself to a CPU (`worker mod
-//!   available_parallelism`) via a raw `sched_setaffinity` call before
-//!   touching its stripes, keeping the ownership map aligned with the
-//!   topology for the fit's whole lifetime. Refusals (containers,
-//!   cpuset limits, non-Linux) degrade to a logged no-op.
-//! * **Local/remote accounting.** Every shared-plane RMW is classified
-//!   against the issuing handle's owned stripes; the per-sweep
-//!   local/remote split reaches [`AtomicOpsBreakdown`] and
-//!   `FitDiagnostics`, quantifying how much sweep traffic crossed
-//!   stripe ownership (a proxy for cross-node traffic).
-//! * **Locality-tiled sweep scheduling.** With
-//!   [`crate::config::CpdConfig::sweep_tiling`] set, each worker
-//!   reorders its document queue once at spawn into word-range tiles
-//!   (by median word id). The `n_zw` plane is word-major (`W × Z`), so
-//!   a word range is one contiguous plane range: successive token
-//!   updates stay inside that warm slice (and mostly inside the
-//!   worker's own stripes) instead of scattering over the whole plane —
-//!   this only permutes the worker's visit order, which the
-//!   approximate-Gibbs relaxation already tolerates; the draw-identical
-//!   runtimes keep user order.
-//!
 //! * **`Auto`** (the config default): not a fourth runtime but a
 //!   per-fit resolution step — [`choose_runtime`] inspects the corpus
 //!   shape and thread count once, before any worker spawns, and picks
 //!   `DeltaSharded` or `LockFreeCounts` (see its docs for the exact
 //!   heuristic and the bench numbers behind it). The resolved choice is
 //!   recorded in `FitDiagnostics::runtime`.
+//!
+//! # Shared planes (`LockFreeCounts`)
+//!
+//! Before the pool spawns, the coordinator lifts the three count pairs
+//! onto packed shared planes with [`crate::counts::PairCounts::to_shared`],
+//! so every worker's replica clone is another handle onto the same
+//! cells. Workers sweep their users in graph order, exactly like the
+//! draw-identical runtimes, and each handle tallies the atomic
+//! read-modify-writes it publishes; the per-sweep totals reach
+//! [`AtomicOpsBreakdown`] and `FitDiagnostics`. The parallelism comes
+//! from the LDA-guided user segmentation and the per-sweep barrier
+//! (Sect. 4.3), not from where the planes live in memory.
 //!
 //! # The barrier fold
 //!
@@ -138,11 +113,10 @@
 
 use crate::config::CpdConfig;
 use crate::config::ParallelRuntime;
-use crate::counts::OpsSplit;
 use crate::features::{UserFeatures, N_FEATURES};
 use crate::gibbs::{
-    resample_delta_range, resample_lambda_range, sweep_doc_queue, sweep_user_docs, SamplerStats,
-    SamplerTables, SweepContext, SweepPhase, SweepScratch,
+    resample_delta_range, resample_lambda_range, sweep_user_docs, SamplerStats, SamplerTables,
+    SweepContext, SweepPhase, SweepScratch,
 };
 use crate::mstep::{
     apply_nu_step, eta_counts_range, nu_chunk_grad, tree_reduce_counts, NuExample, NU_GRAD_CHUNK,
@@ -317,10 +291,13 @@ pub fn balance_ratio(groups: &[Vec<usize>], workloads: &[f64]) -> f64 {
 ///
 /// The decision follows the committed `BENCH_lockfree_counts.json`
 /// numbers: on the paper-shaped bench corpus (K=50, V=60k) the shared
-/// atomic planes win at 8 threads (262 ms vs 377 ms per fit) but lose
-/// serially (226 ms vs 165 ms) — their advantage is skipping the
-/// per-sweep delta fold of the huge dense planes, which only pays once
-/// the planes dwarf the per-sweep token churn. So `Auto` picks:
+/// atomic planes win at 8 threads (137.5 ms vs 195.5 ms per fit) but
+/// lose serially (137.5 ms vs 88.9 ms) — their advantage is skipping
+/// the per-sweep delta fold of the huge dense planes, which only pays
+/// once the planes dwarf the per-sweep token churn. Those numbers come
+/// from a 2-CPU host, where every arm beyond two threads time-slices
+/// the same two cores: the 8-thread gap measures the fold work the
+/// lock-free planes skip, not thread scaling. So `Auto` picks:
 ///
 /// * **`DeltaSharded`** when serial (`threads <= 1`) or whenever the
 ///   count planes are small relative to the corpus — the delta fold is
@@ -432,142 +409,6 @@ pub(crate) fn clone_rebuild_doc_sweep(
     }
     state.rebuild_counts(ctx.graph);
     (times, sampler)
-}
-
-/// Pin the calling thread to one CPU via a raw `sched_setaffinity(2)`
-/// call (std links libc already; no crate needed). Returns `false`
-/// when the kernel refuses — cpuset-restricted containers commonly do —
-/// or when `cpu` exceeds the fixed 1024-CPU mask.
-#[cfg(target_os = "linux")]
-fn pin_current_thread(cpu: usize) -> bool {
-    const MASK_CPUS: usize = 1024;
-    #[repr(C)]
-    struct CpuSet {
-        bits: [u64; MASK_CPUS / 64],
-    }
-    extern "C" {
-        // pid 0 = the calling thread.
-        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const CpuSet) -> i32;
-    }
-    if cpu >= MASK_CPUS {
-        return false;
-    }
-    let mut set = CpuSet {
-        bits: [0; MASK_CPUS / 64],
-    };
-    set.bits[cpu / 64] |= 1u64 << (cpu % 64);
-    // SAFETY: `set` is a valid, initialised mask of the size we pass;
-    // sched_setaffinity only reads it.
-    unsafe { sched_setaffinity(0, std::mem::size_of::<CpuSet>(), &set) == 0 }
-}
-
-/// Non-Linux: no portable pinning syscall; always reports failure so
-/// the caller logs the no-op.
-#[cfg(not(target_os = "linux"))]
-fn pin_current_thread(_cpu: usize) -> bool {
-    false
-}
-
-/// Best-effort worker pinning (`CpdConfig::affinity`): worker `me` goes
-/// to CPU `me mod available_parallelism`. Failure is a logged no-op —
-/// the fit proceeds unpinned, exactly as without the knob.
-fn pin_worker(me: usize) {
-    let n_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let cpu = me % n_cpus;
-    if !pin_current_thread(cpu) {
-        eprintln!("cpd: worker {me}: sched_setaffinity(cpu {cpu}) unavailable; running unpinned");
-    }
-}
-
-/// Dense sources for the workers' first-touch fill of the shared count
-/// planes.
-///
-/// Built by [`FirstTouchPlan::install`], which swaps the state's three
-/// count pairs for **cold** shared planes (allocated zeroed, pages
-/// untouched) and keeps the prior tallies here. At spawn each worker
-/// calls `fill_owned` against these sources on its own thread, faulting
-/// exactly its owned stripes' pages in — the NUMA first-touch policy
-/// then places them on that worker's node. The coordinator blocks until
-/// every worker has filled, so the planes are exact before any sweep.
-#[derive(Clone)]
-pub(crate) struct FirstTouchPlan {
-    /// `(n_uc, n_u)` dense tallies.
-    user_comm: Arc<(Vec<u32>, Vec<u32>)>,
-    /// `(n_cz, n_c)` dense tallies.
-    comm_topic: Arc<(Vec<u32>, Vec<u32>)>,
-    /// `(n_zw, n_z)` dense tallies.
-    word_topic: Arc<(Vec<u32>, Vec<u32>)>,
-}
-
-impl FirstTouchPlan {
-    /// Convert the state's three count pairs to cold shared planes of
-    /// `n_shards` stripes (`padded` selects the cache-aligned layout)
-    /// and capture their current tallies as the fill sources.
-    pub fn install(state: &mut CpdState, n_shards: usize, padded: bool) -> Self {
-        let (user_comm, uc_src) = state.user_comm.to_shared_cold(n_shards, padded);
-        let (comm_topic, cz_src) = state.comm_topic.to_shared_cold(n_shards, padded);
-        let (word_topic, zw_src) = state.word_topic.to_shared_cold(n_shards, padded);
-        state.user_comm = user_comm;
-        state.comm_topic = comm_topic;
-        state.word_topic = word_topic;
-        Self {
-            user_comm: Arc::new(uc_src),
-            comm_topic: Arc::new(cz_src),
-            word_topic: Arc::new(zw_src),
-        }
-    }
-
-    /// Worker side: first-touch `local`'s owned stripes of all three
-    /// pairs (ownership was assigned via `set_owner` before spawn).
-    fn fill(&self, local: &mut CpdState) {
-        local
-            .user_comm
-            .fill_owned(&self.user_comm.0, &self.user_comm.1);
-        local
-            .comm_topic
-            .fill_owned(&self.comm_topic.0, &self.comm_topic.1);
-        local
-            .word_topic
-            .fill_owned(&self.word_topic.0, &self.word_topic.1);
-    }
-}
-
-/// Bytes of the `n_zw` plane each locality tile targets: roughly an
-/// LLC-friendly working set per tile, so the tile's token updates keep
-/// hitting warm lines.
-const TILE_TARGET_BYTES: usize = 1 << 21;
-
-/// Order a worker's documents into word-range tiles: tile key = the
-/// document's median word id divided by the tile width. The plane is
-/// word-major, so a tile's words own one contiguous `tile_words × |Z|`
-/// range of `n_zw`, sized to ~[`TILE_TARGET_BYTES`]. The sort
-/// is stable, so documents keep user order within a tile and the queue
-/// is deterministic — every owned document appears exactly once, only
-/// the visit order changes.
-fn tiled_doc_queue(graph: &SocialGraph, users: &[u32], n_topics: usize) -> Vec<u32> {
-    let tile_words =
-        (TILE_TARGET_BYTES / (std::mem::size_of::<u32>() * n_topics.max(1))).max(1) as u32;
-    let mut keyed: Vec<(u32, u32)> = Vec::new();
-    let mut words: Vec<u32> = Vec::new();
-    for &u in users {
-        for d in graph.docs_of(UserId(u)) {
-            let doc = graph.doc(d);
-            words.clear();
-            words.extend(doc.words.iter().map(|w| w.0));
-            let tile = if words.is_empty() {
-                0
-            } else {
-                let mid = words.len() / 2;
-                let (_, median, _) = words.select_nth_unstable(mid);
-                *median / tile_words
-            };
-            keyed.push((tile, d.0));
-        }
-    }
-    keyed.sort_by_key(|&(tile, _)| tile);
-    keyed.into_iter().map(|(_, d)| d).collect()
 }
 
 /// One sweep command from the coordinator to a worker. `eta`/`nu` are
@@ -756,17 +597,13 @@ impl FoldTask {
     }
 }
 
-/// A worker's reply: the sweep result, the folded arrays, one M-step
-/// shard's output, or the one-time first-touch acknowledgement.
+/// A worker's reply: the sweep result, the folded arrays, or one
+/// M-step shard's output.
 enum Reply {
     Sweep(Box<WorkerReply>),
     Fold(Vec<FoldTask>),
     Eta(Vec<f64>),
     NuGrad(Vec<[f64; N_FEATURES]>),
-    /// The worker finished zeroing/filling its owned stripes of the
-    /// cold shared planes (first-touch placement). Sent once, right
-    /// after spawn, only when the pool was given a [`FirstTouchPlan`].
-    Touched,
 }
 
 /// A worker's result for one sweep.
@@ -785,11 +622,7 @@ struct WorkerReply {
 /// Per-plane atomic read-modify-writes published to the shared count
 /// planes during one sharded sweep (all zero unless the runtime is
 /// `LockFreeCounts`) — the contention measure for the lock-free count
-/// planes, surfaced through `FitDiagnostics::atomic_ops`. Besides the
-/// per-plane totals, the sweep's RMWs are split by stripe ownership:
-/// `local` ops landed in the issuing worker's own stripes (same-node
-/// memory after first-touch placement), `remote` ops crossed into
-/// another worker's stripes.
+/// planes, surfaced through `FitDiagnostics::atomic_ops`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AtomicOpsBreakdown {
     /// RMWs on the `n_zw`/`n_z` plane (two per moved token, plus the
@@ -799,35 +632,12 @@ pub struct AtomicOpsBreakdown {
     pub comm_topic: u64,
     /// RMWs on the `n_uc` plane.
     pub user_comm: u64,
-    /// RMWs (across all three planes) into the issuing worker's owned
-    /// stripes.
-    pub local: u64,
-    /// RMWs into other workers' stripes.
-    pub remote: u64,
 }
 
 impl AtomicOpsBreakdown {
-    /// Build from the three pairs' drained per-handle splits.
-    fn from_splits(word_topic: OpsSplit, comm_topic: OpsSplit, user_comm: OpsSplit) -> Self {
-        Self {
-            word_topic: word_topic.total(),
-            comm_topic: comm_topic.total(),
-            user_comm: user_comm.total(),
-            local: word_topic.local + comm_topic.local + user_comm.local,
-            remote: word_topic.remote + comm_topic.remote + user_comm.remote,
-        }
-    }
-
     /// Sum across the three planes.
     pub fn total(&self) -> u64 {
         self.word_topic + self.comm_topic + self.user_comm
-    }
-
-    /// Fraction of RMWs that stayed in the issuing worker's stripes
-    /// (`None` when no RMW was published).
-    pub fn local_fraction(&self) -> Option<f64> {
-        let total = self.local + self.remote;
-        (total > 0).then(|| self.local as f64 / total as f64)
     }
 
     /// Element-wise accumulation (totals across a sweep's workers).
@@ -835,8 +645,6 @@ impl AtomicOpsBreakdown {
         self.word_topic += other.word_topic;
         self.comm_topic += other.comm_topic;
         self.user_comm += other.user_comm;
-        self.local += other.local;
-        self.remote += other.remote;
     }
 }
 
@@ -915,16 +723,8 @@ pub(crate) struct WorkerPool<'scope> {
 impl<'scope> WorkerPool<'scope> {
     /// Spawn one worker per user group. Each worker clones `state` once
     /// — the only full copy it will ever make. (Under `LockFreeCounts`
-    /// the clone's word-topic plane is another handle onto the shared
-    /// atomics, not a copy.)
-    ///
-    /// When `first_touch` is `Some`, the shared planes in `state` were
-    /// installed cold ([`FirstTouchPlan::install`]) and each worker
-    /// zeroes-then-fills its owned stripes before the pool returns —
-    /// the first write to every owned page happens on the owning
-    /// thread, so the kernel places it on that thread's NUMA node.
-    /// `spawn` blocks until all workers have touched their stripes, so
-    /// the planes are exact before the first sweep.
+    /// the clone's count pairs are other handles onto the shared
+    /// atomics, not copies.)
     #[allow(clippy::too_many_arguments)]
     pub fn spawn<'env: 'scope>(
         scope: &'scope std::thread::Scope<'scope, 'env>,
@@ -935,7 +735,6 @@ impl<'scope> WorkerPool<'scope> {
         tables: &'env SamplerTables,
         user_groups: &[Vec<u32>],
         state: &CpdState,
-        first_touch: Option<FirstTouchPlan>,
     ) -> Self {
         let n_workers = user_groups.len();
         let mut cmd_txs = Vec::with_capacity(n_workers);
@@ -946,29 +745,7 @@ impl<'scope> WorkerPool<'scope> {
             let (reply_tx, reply_rx) = std::sync::mpsc::channel::<Reply>();
             let users = users.clone();
             let mut local = state.clone();
-            local.user_comm.set_owner(me, n_workers);
-            local.comm_topic.set_owner(me, n_workers);
-            local.word_topic.set_owner(me, n_workers);
-            let ft = first_touch.clone();
             handles.push(scope.spawn(move || {
-                if config.affinity {
-                    pin_worker(me);
-                }
-                if let Some(plan) = &ft {
-                    plan.fill(&mut local);
-                    if reply_tx.send(Reply::Touched).is_err() {
-                        return; // Coordinator is gone; shut down.
-                    }
-                }
-                // Word-range tiling only reorders the queue under shared
-                // (lock-free) planes: delta-sharded runtimes must keep
-                // the graph's document order to stay draw-identical with
-                // the serial sampler.
-                let doc_queue = if config.sweep_tiling && local.word_topic.is_shared() {
-                    Some(tiled_doc_queue(graph, &users, config.n_topics))
-                } else {
-                    None
-                };
                 let mut scratch = SweepScratch::new();
                 while let Ok(cmd) = cmd_rx.recv() {
                     let reply = match cmd {
@@ -996,36 +773,25 @@ impl<'scope> WorkerPool<'scope> {
                             );
                             let mut delta = CountDelta::new(&local);
                             let busy_start = Instant::now();
-                            match &doc_queue {
-                                Some(queue) => sweep_doc_queue(
-                                    &ctx,
-                                    &mut local,
-                                    queue,
-                                    &mut rng,
-                                    cmd.phase,
-                                    &mut delta,
-                                    &mut scratch,
-                                ),
-                                None => sweep_user_docs(
-                                    &ctx,
-                                    &mut local,
-                                    &users,
-                                    &mut rng,
-                                    cmd.phase,
-                                    &mut delta,
-                                    &mut scratch,
-                                ),
-                            }
+                            sweep_user_docs(
+                                &ctx,
+                                &mut local,
+                                &users,
+                                &mut rng,
+                                cmd.phase,
+                                &mut delta,
+                                &mut scratch,
+                            );
                             let busy_secs = busy_start.elapsed().as_secs_f64();
                             Reply::Sweep(Box::new(WorkerReply {
                                 delta,
                                 busy_secs,
                                 sync_secs,
-                                atomic_ops: AtomicOpsBreakdown::from_splits(
-                                    local.word_topic.take_ops(),
-                                    local.comm_topic.take_ops(),
-                                    local.user_comm.take_ops(),
-                                ),
+                                atomic_ops: AtomicOpsBreakdown {
+                                    word_topic: local.word_topic.take_ops(),
+                                    comm_topic: local.comm_topic.take_ops(),
+                                    user_comm: local.user_comm.take_ops(),
+                                },
                                 sampler: scratch.take_stats(),
                             }))
                         }
@@ -1064,17 +830,6 @@ impl<'scope> WorkerPool<'scope> {
             }));
             cmd_txs.push(cmd_tx);
             reply_rxs.push(reply_rx);
-        }
-        if first_touch.is_some() {
-            // Block until every worker has first-touched its stripes:
-            // the shared planes must be exact before the first sweep
-            // reads them.
-            for rx in &reply_rxs {
-                match rx.recv().expect("worker died during first touch") {
-                    Reply::Touched => {}
-                    _ => unreachable!("first reply after spawn must be Touched"),
-                }
-            }
         }
         Self {
             cmd_txs,
@@ -1556,7 +1311,6 @@ mod tests {
                 &tables,
                 &groups,
                 &delta_state,
-                None,
             );
             for sweep in 1..=4u64 {
                 let stats = pool.sweep(&g, &mut delta_state, SweepPhase::Full, sweep, &eta, &nu);
@@ -1611,9 +1365,8 @@ mod tests {
         let base = state.clone();
         let tables = SamplerTables::new(&g, &cfg);
         std::thread::scope(|scope| {
-            let mut pool = WorkerPool::spawn(
-                scope, &g, &cfg, &features, &links, &tables, &groups, &state, None,
-            );
+            let mut pool =
+                WorkerPool::spawn(scope, &g, &cfg, &features, &links, &tables, &groups, &state);
             let stats = pool.sweep(&g, &mut state, SweepPhase::Full, 1, &eta, &nu);
             assert!(stats.changed_docs > 0, "tiny graph should reshuffle");
             // The merged delta of the sweep reproduces the fold exactly.

@@ -224,7 +224,7 @@ impl CpdState {
     /// state's live atomics, and `rebuild_counts` would wipe them), and
     /// the shared planes are only read, via snapshots — so the check is
     /// safe to run at a sweep barrier while workers hold live handles.
-    /// Shared planes are validated stripe by stripe
+    /// A failure names the first divergent slot
     /// ([`PairCounts::check_against`]).
     pub fn check_consistency(&self, graph: &SocialGraph) -> Result<(), String> {
         let mut fresh = self.clone();
@@ -975,7 +975,7 @@ mod tests {
     fn shared_plane_deltas_drop_word_topic_entries() {
         let g = graph();
         let mut shared = CpdState::init(&g, &config());
-        shared.word_topic = shared.word_topic.to_shared(2);
+        shared.word_topic = shared.word_topic.to_shared();
         let base = shared.clone();
         let mut delta = CountDelta::new(&shared);
         assert!(!delta.tracks_word_topic());
@@ -1002,9 +1002,9 @@ mod tests {
     fn full_shared_plane_deltas_carry_only_assignments_and_n_tz() {
         let g = graph();
         let mut shared = CpdState::init(&g, &config());
-        shared.user_comm = shared.user_comm.to_shared(2);
-        shared.comm_topic = shared.comm_topic.to_shared(2);
-        shared.word_topic = shared.word_topic.to_shared(2);
+        shared.user_comm = shared.user_comm.to_shared();
+        shared.comm_topic = shared.comm_topic.to_shared();
+        shared.word_topic = shared.word_topic.to_shared();
         let base = shared.clone();
         let mut delta = CountDelta::new(&shared);
         assert!(!delta.tracks_word_topic());

@@ -10,7 +10,7 @@
 //! * **exact counts at every barrier** — `WorkerPool::finish_sweep`
 //!   asserts `check_consistency` under `debug_assertions` after every
 //!   sharded sweep, so every fit below exercises the
-//!   planes-vs-assignments equality (all three pairs, shard by shard)
+//!   planes-vs-assignments equality (all three pairs, slot by slot)
 //!   sweep by sweep; a dedicated test additionally hammers the
 //!   `n_cz`/`n_uc` planes from racing threads and checks the joined
 //!   tallies exactly;
@@ -172,6 +172,27 @@ fn delta_sharded_reports_no_atomic_traffic() {
     );
 }
 
+/// The packed shared planes cost no memory beyond the dense ones: on one
+/// corpus every pair's `plane_bytes` is the same under `LockFreeCounts`
+/// as under `DeltaSharded` (4 bytes per slot either way).
+#[test]
+fn lockfree_planes_take_the_dense_footprint() {
+    let gen = GenConfig::twitter_like(Scale::Tiny);
+    let (g, _) = generate(&gen);
+    let plane_bytes = |runtime| {
+        let cfg = CpdConfig {
+            em_iters: 1,
+            ..fit_config(gen.n_communities, gen.n_topics, 2, runtime)
+        };
+        Cpd::new(cfg).unwrap().fit(&g).diagnostics.plane_bytes
+    };
+    let shared = plane_bytes(ParallelRuntime::LockFreeCounts);
+    let dense = plane_bytes(ParallelRuntime::DeltaSharded);
+    assert_eq!(shared.user_comm, dense.user_comm, "n_uc/n_u");
+    assert_eq!(shared.comm_topic, dense.comm_topic, "n_cz/n_c");
+    assert_eq!(shared.word_topic, dense.word_topic, "n_zw/n_z");
+}
+
 /// Structural acceptance check at the state layer: a delta recorded
 /// against a full-shared-plane state carries no `n_zw`/`n_cz`/`n_uc`
 /// entries, and the per-sweep consistency checker validates all three
@@ -182,9 +203,9 @@ fn shared_plane_state_passes_consistency_and_slims_deltas() {
     let (g, _) = generate(&gen);
     let cfg = CpdConfig::experiment(3, 4);
     let mut state = CpdState::init(&g, &cfg);
-    state.user_comm = state.user_comm.to_shared(4);
-    state.comm_topic = state.comm_topic.to_shared(4);
-    state.word_topic = state.word_topic.to_shared(4);
+    state.user_comm = state.user_comm.to_shared();
+    state.comm_topic = state.comm_topic.to_shared();
+    state.word_topic = state.word_topic.to_shared();
     state.check_consistency(&g).expect("atomic planes validate");
     let delta = CountDelta::new(&state);
     assert!(!delta.tracks_word_topic());
@@ -208,9 +229,9 @@ fn concurrent_ncz_nuc_increments_are_exact_at_the_barrier() {
         ..CpdConfig::experiment(3, 4)
     };
     let mut state = CpdState::init(&g, &cfg);
-    state.user_comm = state.user_comm.to_shared(4);
-    state.comm_topic = state.comm_topic.to_shared(4);
-    state.word_topic = state.word_topic.to_shared(4);
+    state.user_comm = state.user_comm.to_shared();
+    state.comm_topic = state.comm_topic.to_shared();
+    state.word_topic = state.word_topic.to_shared();
     let c_n = state.n_communities;
     let z_n = state.n_topics;
 
@@ -246,8 +267,8 @@ fn concurrent_ncz_nuc_increments_are_exact_at_the_barrier() {
                     for d in lo..hi {
                         out.push((d, local.doc_community[d]));
                     }
-                    assert!(local.user_comm.take_ops().total() > 0);
-                    assert!(local.comm_topic.take_ops().total() > 0);
+                    assert!(local.user_comm.take_ops() > 0);
+                    assert!(local.comm_topic.take_ops() > 0);
                     out
                 })
             })
@@ -259,7 +280,7 @@ fn concurrent_ncz_nuc_increments_are_exact_at_the_barrier() {
     });
     // Barrier: install the final assignments and demand exact tallies
     // on every shared plane (check_consistency rebuilds from the
-    // assignments and compares shard by shard).
+    // assignments and compares slot by slot).
     for (d, c) in assignments {
         state.doc_community[d] = c;
     }
