@@ -345,23 +345,6 @@ impl PairCounts {
         }
     }
 
-    /// Copy the contiguous slot range `start..start + out.len()` — one
-    /// row of a row-major plane — into `out`, so a caller that needs
-    /// the row more than once reads the plane once. On the shared
-    /// backend each entry is one relaxed load, same as
-    /// [`PairCounts::get`].
-    #[inline]
-    pub(crate) fn copy_row(&self, start: usize, out: &mut [u32]) {
-        match self {
-            Self::Dense { main, .. } => out.copy_from_slice(&main[start..start + out.len()]),
-            Self::Shared { main, .. } => {
-                for (k, o) in out.iter_mut().enumerate() {
-                    *o = main.get(start + k);
-                }
-            }
-        }
-    }
-
     /// Apply a signed increment to matrix slot `i`.
     #[inline]
     pub fn add(&mut self, i: usize, v: i32) {

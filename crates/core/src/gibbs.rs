@@ -72,42 +72,77 @@
 //!
 //! # The link terms
 //!
-//! The two link-likelihood kernels avoid repeating arithmetic whose
-//! result they already have, and keep every bit of it:
+//! The link-likelihood kernels read each value that cannot change
+//! while they run once, avoid repeating arithmetic whose result they
+//! already have, and keep every bit of it:
 //!
 //! * **Friendship** (`add_membership_link_terms`, Eq. 3 through
 //!   `ln ψ(π̂_u(c)ᵀ π̂_v, λ)`). The author's `n¬_uc + ρ` row is read
-//!   once per community draw, each partner's `n_vc` row once per
-//!   partner. Candidate `c` scores
+//!   once per community draw. Candidate `c` scores
 //!   `ln ψ((s_v + (n_vc + ρ)/denom_v) / denom_u, λ)`, which depends on
 //!   `c` only through `n_vc`; every candidate the partner has no
 //!   document in (`n_vc = 0`) therefore shares one term
 //!   `ln ψ((s_v + ρ/denom_v) / denom_u, λ)`, and only the partner's
-//!   nonzero entries pay their own two divisions and `ln ψ`. The
-//!   partner's terms are written baseline-then-overwrite (the shared
-//!   term everywhere, then the nonzero offsets listed while the row
-//!   was read), so no branch depends on a count: a branch per
-//!   candidate mispredicts often enough to cost what the skipped
-//!   divisions save.
+//!   nonzero entries pay their own division and `ln ψ`. The partner's
+//!   terms are written baseline-then-overwrite (the shared term
+//!   everywhere, then the nonzero offsets), so no branch depends on a
+//!   count: a branch per candidate mispredicts often enough to cost
+//!   what the skipped divisions save.
+//! * **The partner table** (`PartnerTable`, in each worker's
+//!   `SweepScratch`). Everything a term needs of the partner alone —
+//!   `v` itself, `λ`, the `n_vc + ρ` row, `denom_v`, `ρ / denom_v` and
+//!   the `(n_vc + ρ) / denom_v` of the row's nonzero entries — is read
+//!   on the link's first pick and kept for the rest of the author's
+//!   block of documents (`sweep_user_docs` starts each block with
+//!   `SweepScratch::begin_author`). So a user with `k` documents follows
+//!   `friend_links_of(u)[i]` → `friendships()[lid]` → `λ[lid]` → the
+//!   partner's row once per partner, not up to `k` times, and reads at
+//!   most `min(degree, k · max_neighbors)` rows: a hub's table is
+//!   bounded by the links its documents pick, not by its degree. Each
+//!   pick still computes the `|C|` dot product with the author row,
+//!   which moves with every draw. Diffusion links modelled like
+//!   friendships (the no-heterogeneity ablation) use a second table,
+//!   started per document.
 //! * **Eq. 4** (`soft_community_factor`, behind the δ pass and the `ν`
 //!   negatives). `s = Σ_{c'} π̂_{v,c'} θ̂_{c',z} Σ_c η_{c,c',z} π̂_{u,c}
 //!   θ̂_{c,z}` is contracted `c`-outer: `π̂_{u,c}` and `θ̂_{c,z}` are
 //!   divided once per `c` (not once per `(c, c')`), and each `c'` owns
 //!   an accumulator, so the `c'` loop is `|C|` independent add chains
-//!   instead of one serial chain per `c'`.
+//!   instead of one serial chain per `c'`. Each `c`'s `η_{c,·,z}` is
+//!   one contiguous row of topic `z`'s block of the topic-major η
+//!   ([`Eta::topic_block`]), where the `c`-major tensor spaces it `|Z|`
+//!   apart.
+//! * **Eq. 5** (`add_full_diffusion_terms`, the community draw's
+//!   diffusion term). Per link, the `θ̂_{·,z_l}` column is divided once
+//!   and serves the `g` weights, `T0` and every candidate; η is read
+//!   from topic `z_l`'s block: a contiguous row per `c_other` when the
+//!   document is diffused, a stride of `|C|` inside the block when it
+//!   diffuses, where the `c`-major tensor strides `|Z|` or `|C||Z|`.
 //!
-//! Why every bit survives: each shared value is the same floating-point
-//! expression on the same operands the per-term loop evaluated
-//! (`0.0 + ρ` is exactly `ρ`, and a product keeps its left-to-right
-//! grouping `(η · π̂) · θ̂`); each accumulator and each candidate weight
-//! receives the same values in the same order (the inner Eq. 4 sum of
-//! `c'` still runs over `c` ascending, the outer one over `c'`
-//! ascending with the same `π̂_{v,c'} θ̂_{c',z} = 0` skip); and Rust
-//! never contracts `a * b + c` into a fused multiply-add or
-//! reassociates a sum, so vectorising the `c'` loop changes no result.
-//! The `gibbs` tests hold both kernels to the pre-decomposition loops
-//! by `to_bits`, and `tests/link_terms.rs` pins whole fits (assignments,
-//! `ν` and `η` bits) on a link-dense corpus.
+//! Why every bit survives: each cached or shared value is the same
+//! floating-point expression on the same operands the per-term loop
+//! evaluated (`0.0 + ρ` is exactly `ρ`, a product keeps its
+//! left-to-right grouping `(η · π̂) · θ̂`, and a topic block holds copies
+//! of η's cells); each accumulator and each candidate weight receives
+//! the same values in the same order (the inner Eq. 4 sum of `c'` still
+//! runs over `c` ascending, the outer one over `c'` ascending with the
+//! same `π̂_{v,c'} θ̂_{c',z} = 0` skip; the Eq. 5 `g[c]` over `c_other`
+//! ascending; the friendship picks in pick order, drawing the same
+//! random indices); and Rust never contracts `a * b + c` into a fused
+//! multiply-add or reassociates a sum, so vectorising the `c'` loop
+//! changes no result. A partner table holds the values the loop would
+//! read again because a partner's row cannot change inside its
+//! author's block: only the author's documents are resampled there, in
+//! the serial sweep and in each `DeltaSharded` or `CloneRebuild`
+//! worker's own replica, and `λ`/`δ` change only in the Pólya-Gamma
+//! passes between sweeps. Under `LockFreeCounts` other workers write
+//! the partner rows concurrently, so the table is a per-block snapshot
+//! of the live planes — a staleness that runtime's relaxed reads
+//! already allow. The `gibbs` tests hold every kernel to its
+//! pre-change loop by `to_bits` (the membership test across blocks and
+//! across a sweep, so a table that outlived its block would fail), and
+//! `tests/link_terms.rs` pins whole fits (assignments, `ν` and `η`
+//! bits) on a link-dense corpus.
 
 use crate::config::{CpdConfig, DiffusionModel, SamplerKind};
 use crate::features::{community_feature, UserFeatures, F_COMMUNITY, F_TOPIC_POP, N_FEATURES};
@@ -119,6 +154,7 @@ use polya_gamma::sample_pg1;
 use rand::rngs::StdRng;
 use rand::Rng;
 use social_graph::{DocId, SocialGraph, UserId};
+use std::ops::Range;
 use std::time::Instant;
 
 /// Which factors a sweep samples — the "no joint modeling" ablation
@@ -276,7 +312,8 @@ pub(crate) struct SweepScratch {
     acc_topic: Vec<f64>,
     /// Community-candidate log weights (`|C|`).
     lw_comm: Vec<f64>,
-    /// Bilinear diffusion precomputation `g[c]` (`|C|`).
+    /// Bilinear diffusion precomputation `g[c]` and the link's `θ̂_{·,z}`
+    /// column (`2|C|`).
     g: Vec<f64>,
     /// Count rows of the community draw's link terms.
     link_rows: LinkRows,
@@ -317,24 +354,36 @@ impl SweepScratch {
         self.alias.clear();
         self.alias.resize_with(n_communities, || None);
     }
+
+    /// Start author `u`'s block of documents: its friendship partner
+    /// table starts empty, so no entry outlives the block it was read
+    /// in.
+    fn begin_author(&mut self, graph: &SocialGraph, u: u32) {
+        self.link_rows
+            .friends
+            .begin(graph.friend_links_of(UserId(u)).len());
+    }
 }
 
-/// The count rows a community draw's link terms read, each `|C|` long:
-/// the author side, filled once per draw by [`LinkRows::fill_author`]
-/// and shared by every link of the document, and per-partner scratch
-/// that `add_membership_link_terms` refills for each partner.
+/// The rows a community draw's link terms read: the author side, filled
+/// once per draw by [`LinkRows::fill_author`] and shared by every link
+/// of the document, and the partner side, one [`PartnerTable`] per
+/// link kind.
 #[derive(Default)]
 struct LinkRows {
     /// `π̂_u` denominator `n_u + |C|ρ` (the document counts in `n_u`).
     denom_u: f64,
     /// The author's `n¬_uc + ρ` row (the document excluded).
     author: Vec<f64>,
-    /// A partner's `n_vc` row.
-    partner: Vec<u32>,
-    /// Offsets of the partner's nonzero entries.
-    nonzero: Vec<u32>,
-    /// The partner's term for every candidate.
+    /// One partner's term for every candidate (`|C|`).
     term: Vec<f64>,
+    /// Friendship partners of the author block being swept
+    /// ([`SweepScratch::begin_author`]).
+    friends: PartnerTable,
+    /// Partners of one document's diffusion links, modelled like
+    /// friendships (the no-heterogeneity ablation); rebuilt per
+    /// document.
+    diffusion: PartnerTable,
 }
 
 impl LinkRows {
@@ -345,6 +394,77 @@ impl LinkRows {
         self.author.clear();
         self.author
             .extend((0..c_n).map(|c| state.n_uc(u * c_n + c) as f64 + rho));
+    }
+}
+
+/// A link's table slot before its first pick (and a link to the author
+/// itself, which has no term).
+const UNFILLED: u32 = u32::MAX;
+
+/// What the membership link terms need of each partner of one block,
+/// read on the link's first pick and reused by every later pick in the
+/// block: everything that depends on the partner alone. Inside a block
+/// only the author's counts move, so each cached value is the one the
+/// per-pick loop would compute again (see the module docs).
+#[derive(Default)]
+struct PartnerTable {
+    /// Entry of each incident link, by its position in the block's link
+    /// list: an index into `entries`, or [`UNFILLED`].
+    slot: Vec<u32>,
+    /// Filled entries, in first-pick order.
+    entries: Vec<Partner>,
+    /// Each entry's `n_vc + ρ` row, `|C|` cells per entry.
+    rows: Vec<f64>,
+    /// Each entry's nonzero `n_vc` offsets with their
+    /// `(n_vc + ρ) / denom_v`, the entries' runs back to back.
+    nonzero: Vec<(u32, f64)>,
+}
+
+/// One [`PartnerTable`] entry.
+struct Partner {
+    /// The link's Pólya-Gamma variable (`λ` or `δ`).
+    pg: f64,
+    /// `π̂_v` denominator `n_v + |C|ρ`.
+    denom_v: f64,
+    /// `ρ / denom_v`: `π̂_{v,c}` wherever `n_vc = 0`.
+    rho_v: f64,
+    /// This entry's run in [`PartnerTable::nonzero`].
+    nonzero: Range<usize>,
+}
+
+impl PartnerTable {
+    /// Start a block of `links` incident links: forget every entry.
+    fn begin(&mut self, links: usize) {
+        self.slot.clear();
+        self.slot.resize(links, UNFILLED);
+        self.entries.clear();
+        self.rows.clear();
+        self.nonzero.clear();
+    }
+
+    /// Append partner `v`'s entry, reading its row once.
+    fn fill(&mut self, state: &CpdState, v: usize, pg: f64, rho: f64) -> u32 {
+        let c_n = state.n_communities;
+        let denom_v = state.n_u(v) as f64 + c_n as f64 * rho;
+        let start = self.rows.len();
+        let nonzero_start = self.nonzero.len();
+        // `0.0 + ρ` is exactly `ρ`: the baseline is every zero cell's
+        // `n_vc + ρ`.
+        self.rows.resize(start + c_n, rho);
+        let (row, nonzero) = (&mut self.rows[start..], &mut self.nonzero);
+        state
+            .user_comm
+            .for_each_nonzero_in_row(v * c_n, c_n, |c, n| {
+                row[c] = n as f64 + rho;
+                nonzero.push((c as u32, row[c] / denom_v));
+            });
+        self.entries.push(Partner {
+            pg,
+            denom_v,
+            rho_v: rho / denom_v,
+            nonzero: nonzero_start..self.nonzero.len(),
+        });
+        (self.entries.len() - 1) as u32
     }
 }
 
@@ -425,6 +545,7 @@ pub(crate) fn sweep_user_docs<S: DeltaSink>(
     // proposals expire here ("refreshed per sweep").
     scratch.begin_sweep(state.n_communities);
     for &u in users {
+        scratch.begin_author(ctx.graph, u);
         for d in ctx.graph.docs_of(UserId(u)) {
             if phase != SweepPhase::DetectOnly {
                 sample_topic(ctx, state, d.index(), rng, phase, sink, scratch);
@@ -944,17 +1065,18 @@ enum MembershipLinks {
 
 /// Add `Σ ln ψ(π̂_u(c)ᵀ π̂_v, pg)` terms to `lw` for each linked partner
 /// `v`, using the O(1)-per-candidate incremental dot product. The link
-/// id lists are borrowed straight from the graph's CSR adjacency —
-/// no per-visit copies — and the partner endpoint is resolved per
-/// examined link (cheaper than materialising all partners when the
-/// neighbour cap samples a subset).
+/// id lists are borrowed straight from the graph's CSR adjacency — no
+/// per-visit copies.
 ///
-/// `rows` carries the author side ([`LinkRows::fill_author`]); each
-/// partner's `n_vc` row is read once. Every candidate the partner has
-/// no document in shares one term (see the module docs): the partner's
-/// terms start as that shared value everywhere and only its nonzero
-/// entries, listed while the row is read, pay their own divisions and
-/// `ln ψ`, so the candidate loop never branches on a count.
+/// `rows` carries the author side ([`LinkRows::fill_author`]) and the
+/// partner table of the links' block: the author's friendship table
+/// ([`SweepScratch::begin_author`]), or the document's diffusion table,
+/// started here. A link's partner, `pg` and `n_vc` row are read on its
+/// first pick in the block ([`PartnerTable::fill`]); every pick then
+/// costs one `|C|` dot product with the author row, the shared
+/// zero-count term and one term per nonzero `n_vc` (see the module
+/// docs), written baseline-then-overwrite so the candidate loop never
+/// branches on a count.
 fn add_membership_link_terms(
     ctx: &SweepContext<'_>,
     state: &CpdState,
@@ -965,77 +1087,83 @@ fn add_membership_link_terms(
     which: MembershipLinks,
 ) {
     let c_n = state.n_communities;
-    let (link_ids, pg_of): (&[u32], &[f64]) = match which {
-        MembershipLinks::Friendship => (ctx.graph.friend_links_of(UserId(u as u32)), &state.lambda),
+    let LinkRows {
+        denom_u,
+        author,
+        term,
+        friends,
+        diffusion,
+    } = rows;
+    let denom_u = *denom_u;
+    let (link_ids, pg_of, table): (&[u32], &[f64], _) = match which {
+        MembershipLinks::Friendship => (
+            ctx.graph.friend_links_of(UserId(u as u32)),
+            &state.lambda,
+            friends,
+        ),
         MembershipLinks::DiffusionOf(d) => {
-            (ctx.graph.diffusion_links_of(DocId(d as u32)), &state.delta)
+            let ids = ctx.graph.diffusion_links_of(DocId(d as u32));
+            diffusion.begin(ids.len());
+            (ids, &state.delta, diffusion)
         }
     };
+    debug_assert_eq!(table.slot.len(), link_ids.len(), "block not started");
 
     let cap = ctx.config.max_neighbors;
     let total = link_ids.len();
     let use_all = cap == 0 || total <= cap;
     let picks = if use_all { total } else { cap };
-    let LinkRows {
-        denom_u,
-        author,
-        partner,
-        nonzero,
-        term,
-    } = rows;
-    let denom_u = *denom_u;
-    partner.clear();
-    partner.resize(c_n, 0);
-    nonzero.clear();
-    nonzero.resize(c_n, 0);
     for pick in 0..picks {
         let idx = if use_all {
             pick
         } else {
             rng.gen_range(0..total)
         };
-        let lid = link_ids[idx] as usize;
-        let v = match which {
-            MembershipLinks::Friendship => {
-                let l = ctx.graph.friendships()[lid];
-                if l.from.index() == u {
-                    l.to.index()
-                } else {
-                    l.from.index()
+        let entry = match table.slot[idx] {
+            UNFILLED => {
+                let lid = link_ids[idx] as usize;
+                let v = match which {
+                    MembershipLinks::Friendship => {
+                        let l = ctx.graph.friendships()[lid];
+                        if l.from.index() == u {
+                            l.to.index()
+                        } else {
+                            l.from.index()
+                        }
+                    }
+                    MembershipLinks::DiffusionOf(d) => {
+                        let lm = &ctx.links[lid];
+                        if lm.src_doc as usize == d {
+                            lm.dst_author as usize
+                        } else {
+                            lm.src_author as usize
+                        }
+                    }
+                };
+                if v == u {
+                    continue;
                 }
+                let entry = table.fill(state, v, pg_of[lid], ctx.rho);
+                table.slot[idx] = entry;
+                entry
             }
-            MembershipLinks::DiffusionOf(d) => {
-                let lm = &ctx.links[lid];
-                if lm.src_doc as usize == d {
-                    lm.dst_author as usize
-                } else {
-                    lm.src_author as usize
-                }
-            }
-        };
-        if v == u {
-            continue;
-        }
-        let pg = pg_of[lid];
-        let denom_v = state.n_u(v) as f64 + c_n as f64 * ctx.rho;
-        state.user_comm.copy_row(v * c_n, partner);
+            entry => entry,
+        } as usize;
+        let p = &table.entries[entry];
+        let row = &table.rows[entry * c_n..(entry + 1) * c_n];
         // S_v = Σ_c (n¬_uc + ρ) π̂_vc  (u's counts currently exclude the
-        // doc), listing the nonzero n_vc offsets on the way.
+        // doc).
         let mut s_v = 0.0f64;
-        let mut nnz = 0;
-        for (c, (&a, &n)) in author.iter().zip(partner.iter()).enumerate() {
-            s_v += a * (n as f64 + ctx.rho);
-            nonzero[nnz] = c as u32;
-            nnz += (n != 0) as usize;
+        for (&a, &r) in author.iter().zip(row) {
+            s_v += a * r;
         }
-        s_v /= denom_v;
+        s_v /= p.denom_v;
         // Every candidate with n_vc = 0 has p_vc = ρ / denom_v.
-        let shared = ln_psi((s_v + ctx.rho / denom_v) / denom_u, pg);
+        let shared = ln_psi((s_v + p.rho_v) / denom_u, p.pg);
         term.clear();
         term.resize(c_n, shared);
-        for &c in &nonzero[..nnz] {
-            let p_vc = (partner[c as usize] as f64 + ctx.rho) / denom_v;
-            term[c as usize] = ln_psi((s_v + p_vc) / denom_u, pg);
+        for &(c, p_vc) in &table.nonzero[p.nonzero.clone()] {
+            term[c as usize] = ln_psi((s_v + p_vc) / denom_u, p.pg);
         }
         for (l, &t) in lw.iter_mut().zip(term.iter()) {
             *l += t;
@@ -1046,14 +1174,20 @@ fn add_membership_link_terms(
 /// Add the full Eq. 5 diffusion terms for every link incident to doc `d`
 /// while resampling its community. O(|C|²) per link for the bilinear
 /// precomputation, then O(1) per candidate. `rows` carries the author
-/// side ([`LinkRows::fill_author`]).
+/// side ([`LinkRows::fill_author`]); `buf` is reused scratch of `2|C|`.
+///
+/// Per link, the `θ̂_{·,z_l}` column is divided once and η is read from
+/// topic `z_l`'s block ([`Eta::topic_block`]): when `d` is diffused the
+/// candidate indexes `c'`, so each `c_other` reads one contiguous row;
+/// when `d` diffuses the candidate indexes `c`, a stride of `|C|`
+/// inside the block.
 fn add_full_diffusion_terms(
     ctx: &SweepContext<'_>,
     state: &CpdState,
     d: usize,
     rows: &LinkRows,
     lw: &mut [f64],
-    g: &mut Vec<f64>,
+    buf: &mut Vec<f64>,
 ) {
     let c_n = state.n_communities;
     let z_n = state.n_topics;
@@ -1070,30 +1204,37 @@ fn add_full_diffusion_terms(
         } else {
             lm.src_author as usize
         };
+        zeroed(buf, 2 * c_n);
+        let (g, theta) = buf.split_at_mut(c_n);
+        for (c, t) in theta.iter_mut().enumerate() {
+            *t = state.theta_hat(c, zl, ctx.alpha);
+        }
         // g[c_cand] = Σ_{c_other} η(pair) π̂_{other} θ̂_{other} with the
         // candidate index in the right slot of η.
-        zeroed(g, c_n);
-        for c_other in 0..c_n {
-            let w_other = state.pi_hat(other_author, c_other, ctx.rho)
-                * state.theta_hat(c_other, zl, ctx.alpha);
+        let eta = ctx.eta.topic_block(zl);
+        for (c_other, &t_other) in theta.iter().enumerate() {
+            let w_other = state.pi_hat(other_author, c_other, ctx.rho) * t_other;
             if w_other == 0.0 {
                 continue;
             }
-            for (c_cand, gc) in g.iter_mut().enumerate() {
-                let e = if d_is_diffuser {
-                    // candidate is the diffusing side c1: η[c1][c2][z]
-                    ctx.eta.at(c_cand, c_other, zl)
-                } else {
-                    // candidate is the source side c2: η[c1][c2][z]
-                    ctx.eta.at(c_other, c_cand, zl)
-                };
-                *gc += e * w_other;
+            if d_is_diffuser {
+                // candidate is the diffusing side c1: η[c1][c2][z]
+                let col = eta[c_other..].iter().step_by(c_n);
+                for (gc, &e) in g.iter_mut().zip(col) {
+                    *gc += e * w_other;
+                }
+            } else {
+                // candidate is the source side c2: η[c1][c2][z]
+                let row = &eta[c_other * c_n..(c_other + 1) * c_n];
+                for (gc, &e) in g.iter_mut().zip(row) {
+                    *gc += e * w_other;
+                }
             }
         }
         // T0 = Σ_c (n¬_uc + ρ) θ̂_{c,zl} g[c].
         let mut t0 = 0.0f64;
-        for (c, (&a, &gc)) in rows.author.iter().zip(g.iter()).enumerate() {
-            t0 += a * state.theta_hat(c, zl, ctx.alpha) * gc;
+        for ((&a, &t), &gc) in rows.author.iter().zip(theta.iter()).zip(g.iter()) {
+            t0 += a * t * gc;
         }
         let mut x = [0.0f64; N_FEATURES];
         ctx.features.fill_static(
@@ -1107,8 +1248,8 @@ fn add_full_diffusion_terms(
         } else {
             0.0
         };
-        for (c, l) in lw.iter_mut().enumerate() {
-            let s = (t0 + state.theta_hat(c, zl, ctx.alpha) * g[c]) / rows.denom_u;
+        for (l, (&t, &gc)) in lw.iter_mut().zip(theta.iter().zip(g.iter())) {
+            let s = (t0 + t * gc) / rows.denom_u;
             x[F_COMMUNITY] = community_feature(s, c_n, z_n);
             *l += ln_psi(ctx.dot_nu(&x), delta);
         }
@@ -1179,9 +1320,9 @@ pub(crate) fn diffusion_logit(
 /// `s_comm = Σ_{c,c'} η_{c,c',z} π̂_{u,c} θ̂_{c,z} π̂_{v,c'} θ̂_{c',z}`
 /// (Eq. 4, step 2), contracted `c`-outer: `π̂_{u,c}` and `θ̂_{c,z}` are
 /// computed once per `c`, and each `c'` has its own accumulator
-/// `inner[c'] = Σ_c η_{c,c',z} π̂_{u,c} θ̂_{c,z}`, fed in `c` order (see
-/// the module docs for why the result keeps every bit). `buf` is reused
-/// scratch of `2|C|`.
+/// `inner[c'] = Σ_c η_{c,c',z} π̂_{u,c} θ̂_{c,z}`, fed in `c` order from
+/// the contiguous rows of topic `z`'s η block (see the module docs for
+/// why the result keeps every bit). `buf` is reused scratch of `2|C|`.
 pub(crate) fn soft_community_factor(
     ctx: &SweepContext<'_>,
     state: &CpdState,
@@ -1191,17 +1332,16 @@ pub(crate) fn soft_community_factor(
     buf: &mut Vec<f64>,
 ) -> f64 {
     let c_n = state.n_communities;
-    let z_n = state.n_topics;
     zeroed(buf, 2 * c_n);
     // inner[c'] and θ̂_{c,z} for every c.
     let (inner, theta_z) = buf.split_at_mut(c_n);
-    let eta = ctx.eta.as_slice();
+    let eta = ctx.eta.topic_block(z);
     for (c1, t) in theta_z.iter_mut().enumerate() {
         let p_u = state.pi_hat(u, c1, ctx.rho);
         let t_c = state.theta_hat(c1, z, ctx.alpha);
         *t = t_c;
-        // η_{c1,c',z} for every c', stride |Z|.
-        let eta_row = eta[(c1 * c_n) * z_n + z..].iter().step_by(z_n);
+        // η_{c1,c',z} for every c', one contiguous row of topic z's block.
+        let eta_row = &eta[c1 * c_n..(c1 + 1) * c_n];
         for (acc, &e) in inner.iter_mut().zip(eta_row) {
             *acc += e * p_u * t_c;
         }
@@ -1553,6 +1693,119 @@ mod tests {
         }
     }
 
+    /// The Eq. 5 community term before the topic-major η — η read at a
+    /// stride of `|Z|` or `|C||Z|`, the `θ̂_{·,z_l}` column divided three
+    /// times per link — kept as the bit reference.
+    fn full_diffusion_terms_reference(
+        ctx: &SweepContext<'_>,
+        state: &CpdState,
+        d: usize,
+        rows: &LinkRows,
+        lw: &mut [f64],
+        g: &mut Vec<f64>,
+    ) {
+        let c_n = state.n_communities;
+        let z_n = state.n_topics;
+        for &lid in ctx.graph.diffusion_links_of(DocId(d as u32)) {
+            let lm = &ctx.links[lid as usize];
+            let delta = state.delta[lid as usize];
+            let d_is_diffuser = lm.src_doc as usize == d;
+            let zl = state.doc_topic[lm.dst_doc as usize] as usize;
+            let other_author = if d_is_diffuser {
+                lm.dst_author as usize
+            } else {
+                lm.src_author as usize
+            };
+            zeroed(g, c_n);
+            for c_other in 0..c_n {
+                let w_other = state.pi_hat(other_author, c_other, ctx.rho)
+                    * state.theta_hat(c_other, zl, ctx.alpha);
+                if w_other == 0.0 {
+                    continue;
+                }
+                for (c_cand, gc) in g.iter_mut().enumerate() {
+                    let e = if d_is_diffuser {
+                        ctx.eta.at(c_cand, c_other, zl)
+                    } else {
+                        ctx.eta.at(c_other, c_cand, zl)
+                    };
+                    *gc += e * w_other;
+                }
+            }
+            let mut t0 = 0.0f64;
+            for (c, (&a, &gc)) in rows.author.iter().zip(g.iter()).enumerate() {
+                t0 += a * state.theta_hat(c, zl, ctx.alpha) * gc;
+            }
+            let mut x = [0.0f64; N_FEATURES];
+            ctx.features.fill_static(
+                &mut x,
+                UserId(lm.src_author),
+                UserId(lm.dst_author),
+                ctx.config.individual_factor,
+            );
+            x[F_TOPIC_POP] = if ctx.config.topic_factor {
+                state.topic_popularity(lm.at as usize, zl)
+            } else {
+                0.0
+            };
+            for (c, l) in lw.iter_mut().enumerate() {
+                let s = (t0 + state.theta_hat(c, zl, ctx.alpha) * g[c]) / rows.denom_u;
+                x[F_COMMUNITY] = community_feature(s, c_n, z_n);
+                *l += ln_psi(ctx.dot_nu(&x), delta);
+            }
+        }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The Eq. 5 community term gives every candidate of every document
+    /// of the varied corpus the same bits as the pre-layout loop, under
+    /// a non-uniform η, on links where the document diffuses and links
+    /// where it is diffused.
+    #[test]
+    fn full_diffusion_terms_match_reference() {
+        let fx = LinkFixture::new(varied_graph(), 0);
+        let ctx = fx.ctx();
+        let state = fx.swept_state();
+        let c_n = state.n_communities;
+        let mut scratch = SweepScratch::new();
+        let mut g_want = Vec::new();
+        let (mut diffuses, mut diffused) = (0, 0);
+        for d in 0..fx.g.n_docs() {
+            for &lid in fx.g.diffusion_links_of(DocId(d as u32)) {
+                if fx.links[lid as usize].src_doc as usize == d {
+                    diffuses += 1;
+                } else {
+                    diffused += 1;
+                }
+            }
+            let u = fx.g.docs()[d].author.index();
+            scratch.link_rows.fill_author(&state, u, ctx.rho);
+            let start: Vec<f64> = (0..c_n).map(|c| -0.3 * c as f64 - 1.1).collect();
+            let (mut fast, mut want) = (start.clone(), start);
+            add_full_diffusion_terms(
+                &ctx,
+                &state,
+                d,
+                &scratch.link_rows,
+                &mut fast,
+                &mut scratch.g,
+            );
+            full_diffusion_terms_reference(
+                &ctx,
+                &state,
+                d,
+                &scratch.link_rows,
+                &mut want,
+                &mut g_want,
+            );
+            assert_eq!(bits(&fast), bits(&want), "doc {d}");
+        }
+        assert!(diffuses > 0 && diffused > 0, "{diffuses} / {diffused}");
+    }
+
     /// The `c`-outer Eq. 4 contraction returns the same bits as the
     /// `c'`-outer loop for every (u, v, z) of the small graph and of the
     /// varied corpus, with one scratch buffer reused throughout.
@@ -1584,13 +1837,17 @@ mod tests {
     /// friendship links and for diffusion links modelled like
     /// friendships (the no-heterogeneity ablation), with every
     /// neighbour used and under a neighbour cap that samples (same RNG
-    /// draws).
+    /// draws). One scratch serves every call; documents are visited in
+    /// sweep order with each author's block started as
+    /// [`sweep_user_docs`] starts it, and the pass runs twice with a
+    /// serial sweep and a λ pass in between, so a partner table that
+    /// outlived its block would show stale rows or stale λ.
     #[test]
     fn membership_link_terms_match_reference() {
         for cap in [0, 5] {
             let fx = LinkFixture::new(varied_graph(), cap);
             let ctx = fx.ctx();
-            let state = fx.swept_state();
+            let mut state = fx.swept_state();
             let c_n = state.n_communities;
             // Partners take both the shared zero-count term and their
             // own terms.
@@ -1598,36 +1855,59 @@ mod tests {
                 .filter(|&i| state.n_uc(i) == 0)
                 .count();
             assert!(zeros > 0 && zeros < fx.g.n_users() * c_n);
-            let mut rows = LinkRows::default();
-            for d in 0..fx.g.n_docs() {
-                let u = fx.g.docs()[d].author.index();
-                rows.fill_author(&state, u, ctx.rho);
-                let denom_u = state.n_u(u) as f64 + c_n as f64 * ctx.rho;
-                for which in [MembershipLinks::Friendship, MembershipLinks::DiffusionOf(d)] {
-                    let start: Vec<f64> = (0..c_n).map(|c| -0.3 * c as f64 - 1.1).collect();
-                    let (mut fast, mut want) = (start.clone(), start);
-                    let (mut rng_fast, mut rng_want) = (seeded_rng(d as u64), seeded_rng(d as u64));
-                    add_membership_link_terms(
+            let users: Vec<u32> = (0..fx.g.n_users() as u32).collect();
+            let mut scratch = SweepScratch::new();
+            let mut rng = seeded_rng(17);
+            for pass in 0..2 {
+                if pass == 1 {
+                    sweep_user_docs(
                         &ctx,
-                        &state,
-                        u,
-                        &mut rows,
-                        &mut fast,
-                        &mut rng_fast,
-                        which,
+                        &mut state,
+                        &users,
+                        &mut rng,
+                        SweepPhase::Full,
+                        &mut NoDelta,
+                        &mut scratch,
                     );
-                    membership_link_terms_reference(
-                        &ctx,
-                        &state,
-                        u,
-                        denom_u,
-                        &mut want,
-                        &mut rng_want,
-                        which,
-                    );
-                    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(&fast), bits(&want), "cap {cap}, doc {d}");
-                    assert_eq!(rng_fast.gen::<u64>(), rng_want.gen::<u64>());
+                    let mut lam = std::mem::take(&mut state.lambda);
+                    resample_lambda_range(&ctx, &state, 0, lam.len(), &mut lam, &mut rng);
+                    state.lambda = lam;
+                }
+                for &u in &users {
+                    scratch.begin_author(&fx.g, u);
+                    let u = u as usize;
+                    for d in fx.g.docs_of(UserId(u as u32)) {
+                        let d = d.index();
+                        scratch.link_rows.fill_author(&state, u, ctx.rho);
+                        let denom_u = state.n_u(u) as f64 + c_n as f64 * ctx.rho;
+                        for which in [MembershipLinks::Friendship, MembershipLinks::DiffusionOf(d)]
+                        {
+                            let start: Vec<f64> = (0..c_n).map(|c| -0.3 * c as f64 - 1.1).collect();
+                            let (mut fast, mut want) = (start.clone(), start);
+                            let seed = (pass * fx.g.n_docs() + d) as u64;
+                            let (mut rng_fast, mut rng_want) = (seeded_rng(seed), seeded_rng(seed));
+                            add_membership_link_terms(
+                                &ctx,
+                                &state,
+                                u,
+                                &mut scratch.link_rows,
+                                &mut fast,
+                                &mut rng_fast,
+                                which,
+                            );
+                            membership_link_terms_reference(
+                                &ctx,
+                                &state,
+                                u,
+                                denom_u,
+                                &mut want,
+                                &mut rng_want,
+                                which,
+                            );
+                            assert_eq!(bits(&fast), bits(&want), "cap {cap}, pass {pass}, doc {d}");
+                            assert_eq!(rng_fast.gen::<u64>(), rng_want.gen::<u64>());
+                        }
+                    }
                 }
             }
         }

@@ -18,6 +18,7 @@ use crate::profiles::{CpdModel, Eta};
 use crate::state::{link_metadata, CpdState, NoDelta};
 use cpd_prob::rng::seeded_rng;
 use cpd_telemetry::{ActiveTrace, Counter, Gauge, Histogram, Registry};
+use rand::rngs::StdRng;
 use social_graph::SocialGraph;
 use std::sync::Arc;
 use std::time::Instant;
@@ -128,6 +129,8 @@ struct FitMetrics {
     mstep_eta_span: Histogram,
     mstep_nu_span: Histogram,
     alias_span: Histogram,
+    pg_lambda_span: Histogram,
+    pg_delta_span: Histogram,
     /// `cpd_fit_sweeps_total`.
     sweeps: Counter,
     /// `cpd_fit_changed_docs_total`.
@@ -157,6 +160,8 @@ impl FitMetrics {
             mstep_eta_span: span("mstep_eta"),
             mstep_nu_span: span("mstep_nu"),
             alias_span: span("alias_rebuild"),
+            pg_lambda_span: span("pg_lambda"),
+            pg_delta_span: span("pg_delta"),
             sweeps: r.counter("cpd_fit_sweeps_total", "Document sweeps executed", &[]),
             changed_docs: r.counter(
                 "cpd_fit_changed_docs_total",
@@ -232,6 +237,55 @@ fn record_pool_sweep(
     diagnostics.fold_seconds.push(stats.fold);
     diagnostics.atomic_ops.push(stats.atomic_ops);
     diagnostics.sampler_stats.push(stats.sampler);
+}
+
+/// One Pólya-Gamma `λ` pass (Eq. 15) over every friendship link: on the
+/// pool's threads when there are several, else serially from `rng`.
+/// Records one `pg_lambda` span observation when a registry is attached.
+fn lambda_pass(
+    ctx: &SweepContext<'_>,
+    state: &mut CpdState,
+    threads: usize,
+    sweep_counter: u64,
+    rng: &mut StdRng,
+    metrics: Option<&FitMetrics>,
+) {
+    let start = Instant::now();
+    if threads > 1 {
+        parallel_resample_lambda(ctx, state, threads, sweep_counter);
+    } else {
+        let mut lam = std::mem::take(&mut state.lambda);
+        resample_lambda_range(ctx, state, 0, lam.len(), &mut lam, rng);
+        state.lambda = lam;
+    }
+    if let Some(m) = metrics {
+        m.pg_lambda_span.record_secs(start.elapsed().as_secs_f64());
+    }
+}
+
+/// One Pólya-Gamma `δ` pass (Eq. 16) over every diffusion link, caching
+/// each link's feature vector into `cached_x` for the `ν` M-step.
+/// Records one `pg_delta` span observation when a registry is attached.
+fn delta_pass(
+    ctx: &SweepContext<'_>,
+    state: &mut CpdState,
+    threads: usize,
+    sweep_counter: u64,
+    rng: &mut StdRng,
+    cached_x: &mut Vec<[f64; N_FEATURES]>,
+    metrics: Option<&FitMetrics>,
+) {
+    let start = Instant::now();
+    if threads > 1 {
+        *cached_x = parallel_resample_delta(ctx, state, threads, sweep_counter);
+    } else {
+        let mut del = std::mem::take(&mut state.delta);
+        resample_delta_range(ctx, state, 0, del.len(), &mut del, cached_x, rng);
+        state.delta = del;
+    }
+    if let Some(m) = metrics {
+        m.pg_delta_span.record_secs(start.elapsed().as_secs_f64());
+    }
 }
 
 /// The CPD trainer.
@@ -409,7 +463,7 @@ impl Cpd {
                              state: &mut CpdState,
                              eta: &Arc<Eta>,
                              nu: &[f64],
-                             rng: &mut rand::rngs::StdRng,
+                             rng: &mut StdRng,
                              scratch: &mut SweepScratch,
                              diagnostics: &mut FitDiagnostics| {
                 let sweep_start = Instant::now();
@@ -485,13 +539,14 @@ impl Cpd {
                         );
                         let ctx =
                             SweepContext::new(graph, cfg, &eta, &nu, &features, &links, &tables);
-                        if threads > 1 {
-                            parallel_resample_lambda(&ctx, &mut state, threads, sweep_counter);
-                        } else {
-                            let mut lam = std::mem::take(&mut state.lambda);
-                            resample_lambda_range(&ctx, &state, 0, lam.len(), &mut lam, &mut rng);
-                            state.lambda = lam;
-                        }
+                        lambda_pass(
+                            &ctx,
+                            &mut state,
+                            threads,
+                            sweep_counter,
+                            &mut rng,
+                            metrics.as_ref(),
+                        );
                     }
                 }
             }
@@ -588,30 +643,25 @@ impl Cpd {
                         );
                     }
                     let ctx = SweepContext::new(graph, cfg, &eta, &nu, &features, &links, &tables);
-                    if threads > 1 {
-                        if cfg.use_friendship && doc_phase != SweepPhase::ProfileOnly {
-                            parallel_resample_lambda(&ctx, &mut state, threads, sweep_counter);
-                        }
-                        cached_x =
-                            parallel_resample_delta(&ctx, &mut state, threads, sweep_counter);
-                    } else {
-                        if cfg.use_friendship && doc_phase != SweepPhase::ProfileOnly {
-                            let mut lam = std::mem::take(&mut state.lambda);
-                            resample_lambda_range(&ctx, &state, 0, lam.len(), &mut lam, &mut rng);
-                            state.lambda = lam;
-                        }
-                        let mut del = std::mem::take(&mut state.delta);
-                        resample_delta_range(
+                    if cfg.use_friendship && doc_phase != SweepPhase::ProfileOnly {
+                        lambda_pass(
                             &ctx,
-                            &state,
-                            0,
-                            del.len(),
-                            &mut del,
-                            &mut cached_x,
+                            &mut state,
+                            threads,
+                            sweep_counter,
                             &mut rng,
+                            metrics.as_ref(),
                         );
-                        state.delta = del;
                     }
+                    delta_pass(
+                        &ctx,
+                        &mut state,
+                        threads,
+                        sweep_counter,
+                        &mut rng,
+                        &mut cached_x,
+                        metrics.as_ref(),
+                    );
                 }
                 let e_secs = e_start.elapsed().as_secs_f64();
                 if let Some(m) = &metrics {
@@ -897,6 +947,9 @@ mod tests {
         let text = registry.render_prometheus();
         assert!(text.contains("# TYPE cpd_fit_span_seconds summary"));
         assert!(text.contains("cpd_fit_span_seconds_count{span=\"sweep\"} 12"));
+        // One observation per Pólya-Gamma pass: a λ and a δ pass per sweep.
+        assert!(text.contains("cpd_fit_span_seconds_count{span=\"pg_lambda\"} 12"));
+        assert!(text.contains("cpd_fit_span_seconds_count{span=\"pg_delta\"} 12"));
         assert!(text.contains("cpd_fit_sweeps_total 12"));
         assert!(text.contains("cpd_fit_em_iteration 6"));
         let events = registry.events();

@@ -3,6 +3,7 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::{Arc, OnceLock};
 
 /// How far a stored η source row's sum may stray from 1 in
 /// [`Eta::from_normalised`].
@@ -15,6 +16,13 @@ pub struct Eta {
     n_communities: usize,
     n_topics: usize,
     values: Vec<f64>,
+    /// The same cells topic-major, built on the first
+    /// [`Eta::topic_block`] call. Behind an `Arc` so that `Eta` holds no
+    /// interior mutability inline: a `&Eta` (or a reference to a model
+    /// or index holding one) stays `Freeze`, which keeps the compiler's
+    /// read-only, no-alias guarantee on the serving paths that never
+    /// build the copy. Clones of one value share it.
+    by_topic: Arc<OnceLock<Vec<f64>>>,
 }
 
 impl Eta {
@@ -25,6 +33,7 @@ impl Eta {
             n_communities,
             n_topics,
             values: vec![cell; n_communities * n_communities * n_topics],
+            by_topic: Arc::default(),
         }
     }
 
@@ -50,6 +59,7 @@ impl Eta {
             n_communities,
             n_topics,
             values,
+            by_topic: Arc::default(),
         }
     }
 
@@ -93,6 +103,7 @@ impl Eta {
             n_communities,
             n_topics,
             values,
+            by_topic: Arc::default(),
         })
     }
 
@@ -115,6 +126,30 @@ impl Eta {
     /// Raw flat storage (`c`-major, then `c'`, then `z`).
     pub fn as_slice(&self) -> &[f64] {
         &self.values
+    }
+
+    /// Topic `z`'s `|C|·|C|` block, `c`-major: entry `c·|C| + c'` is
+    /// `η_{c,c',z}`, so the `c'` row of one source community is `|C|`
+    /// contiguous cells where [`Eta::as_slice`] spaces them `|Z|` apart.
+    ///
+    /// The blocks are slices of one topic-major copy (`[z][c][c']`,
+    /// `|C|²|Z|` cells) built on the first call and kept for the life
+    /// of this value, which never changes; every cell is a copy, so a
+    /// read returns the same bits as [`Eta::at`]. A value that is never
+    /// asked for a block (a serving model) never builds the copy.
+    pub(crate) fn topic_block(&self, z: usize) -> &[f64] {
+        let (c_n, z_n) = (self.n_communities, self.n_topics);
+        let block = c_n * c_n;
+        let by_topic = self.by_topic.get_or_init(|| {
+            let mut t = vec![0.0; self.values.len()];
+            for (pair, cells) in self.values.chunks_exact(z_n.max(1)).enumerate() {
+                for (z, &e) in cells.iter().enumerate() {
+                    t[z * block + pair] = e;
+                }
+            }
+            t
+        });
+        &by_topic[z * block..(z + 1) * block]
     }
 
     /// Topic-aggregated diffusion strength `Σ_z η_{c,c',z}`
@@ -296,6 +331,20 @@ mod tests {
             assert!(Eta::from_normalised(2, 1, values).is_err(), "{what}");
         }
         assert!(Eta::from_normalised(usize::MAX, 2, Vec::new()).is_err());
+    }
+
+    #[test]
+    fn topic_blocks_hold_every_cell() {
+        let (c_n, z_n) = (3, 4);
+        let counts: Vec<f64> = (0..c_n * c_n * z_n).map(|i| (i * 7 % 11) as f64).collect();
+        let e = Eta::from_counts(c_n, z_n, &counts, 0.5);
+        for z in 0..z_n {
+            let block = e.topic_block(z);
+            assert_eq!(block.len(), c_n * c_n);
+            for (c, c2) in (0..c_n).flat_map(|c| (0..c_n).map(move |c2| (c, c2))) {
+                assert_eq!(block[c * c_n + c2].to_bits(), e.at(c, c2, z).to_bits());
+            }
+        }
     }
 
     #[test]
