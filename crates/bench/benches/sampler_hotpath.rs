@@ -118,6 +118,11 @@ fn bench_sampler_kinds(c: &mut Criterion) {
 /// benchmark's `train_link_heavy` workload). The friendship term of
 /// every community draw and the Eq. 4 factor of the δ pass and the `ν`
 /// negatives take most of the fit; the word factor is small.
+///
+/// The smoke twin keeps the friend degree on the Tiny corpus and runs
+/// 2 EM iterations of 4 sweeps, so the sweeps take about 70 % of its
+/// time. At one iteration of one sweep they took about 40 %, and runs
+/// with the friendship kernel slowed 2× overlapped runs without.
 fn bench_link_terms(c: &mut Criterion) {
     let (scale, n_diffusions) = if smoke() {
         (Scale::Tiny, 1_800)
@@ -131,7 +136,7 @@ fn bench_link_terms(c: &mut Criterion) {
         mean_words_per_doc: 3.0,
         ..GenConfig::twitter_like(scale)
     });
-    let (em_iters, gibbs_sweeps) = if smoke() { (1, 1) } else { (2, 2) };
+    let (em_iters, gibbs_sweeps) = if smoke() { (2, 4) } else { (2, 2) };
     let trainer = Cpd::new(CpdConfig {
         em_iters,
         gibbs_sweeps,

@@ -229,8 +229,11 @@ fn bench_runtime_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// Fold-in batch latency: profiling a batch of unseen documents through
-/// the runtime (the online-profiling hot path).
+/// Fold-in batch latency through the runtime (the online-profiling hot
+/// path): a batch of unseen documents, and a batch of unseen users shaped
+/// like the repository benchmark's user fold-in (3 documents of 8 words
+/// and 5 trained friends each). The user batch runs on a runtime without
+/// a fold cache, so every iteration runs every chain.
 fn bench_foldin_batch(c: &mut Criterion) {
     let (c_n, z_n, v_n, u_n) = shape();
     let model = synthetic_model(c_n, z_n, v_n, u_n, 0xF01D);
@@ -240,31 +243,49 @@ fn bench_foldin_batch(c: &mut Criterion) {
     let n_docs = if smoke() { 4 } else { 32 };
     let batch: Vec<QueryRequest> = (0..n_docs)
         .map(|i| QueryRequest::FoldIn {
-            item: FoldInItem::doc(
-                (0..12)
-                    .map(|_| WordId(rng.gen_range(0..v_n as u32)))
+            item: FoldInItem::doc(random_queries(&mut rng, 1, 12, v_n).remove(0)),
+            seed: i as u64,
+        })
+        .collect();
+    let n_users = 8;
+    let users: Vec<QueryRequest> = (0..n_users)
+        .map(|i| QueryRequest::FoldIn {
+            item: FoldInItem::user(
+                random_queries(&mut rng, 3, 8, v_n),
+                (0..5)
+                    .map(|_| UserId(rng.gen_range(0..u_n as u32)))
                     .collect(),
             ),
             seed: i as u64,
         })
         .collect();
-    let runtime = ServeRuntime::new(
-        Arc::clone(&index),
-        None,
-        ServeOptions {
-            workers: if smoke() { 2 } else { 4 },
-            ..ServeOptions::default()
-        },
-    )
-    .unwrap();
+    let workers = if smoke() { 2 } else { 4 };
+    let runtime = |fold_cache_capacity| {
+        ServeRuntime::new(
+            Arc::clone(&index),
+            None,
+            ServeOptions {
+                workers,
+                fold_cache_capacity,
+                ..ServeOptions::default()
+            },
+        )
+        .unwrap()
+    };
+    let cached = runtime(ServeOptions::default().fold_cache_capacity);
+    let uncached = runtime(0);
 
     let mut group = c.benchmark_group(group_name("serve_foldin"));
     group.sample_size(if smoke() { 2 } else { 10 });
     group.bench_function(format!("foldin_batch_{n_docs}_docs"), |b| {
-        b.iter(|| black_box(runtime.submit_batch(batch.clone())))
+        b.iter(|| black_box(cached.submit_batch(batch.clone())))
+    });
+    group.bench_function(format!("foldin_batch_{n_users}_users"), |b| {
+        b.iter(|| black_box(uncached.submit_batch(users.clone())))
     });
     group.finish();
-    runtime.shutdown();
+    cached.shutdown();
+    uncached.shutdown();
 }
 
 /// The cold start of a server and of every hot reload: write the

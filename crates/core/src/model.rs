@@ -793,7 +793,9 @@ fn extract_model(
         pi,
         theta,
         phi,
-        eta,
+        // The last ν M-step built η's topic-major copy; nothing that
+        // reads the fitted model needs it.
+        eta: eta.without_topic_copy(),
         nu,
         topic_popularity,
         doc_community: state.doc_community.clone(),
@@ -841,6 +843,27 @@ mod tests {
         assert_eq!(fit.diagnostics.em_iterations, 3);
         assert_eq!(fit.diagnostics.estep_seconds.len(), 3);
         assert_eq!(fit.diagnostics.threads, 1);
+    }
+
+    #[test]
+    fn fitted_model_does_not_keep_the_topic_major_eta() {
+        // The last ν M-step reads Eq. 4 through `Eta::topic_block`,
+        // which builds the topic-major copy on that η; the model a fit
+        // returns must not carry those |C|²|Z| cells along.
+        let (g, _) = generate(&GenConfig::twitter_like(Scale::Tiny));
+        let fit = Cpd::new(quick_config(1)).unwrap().fit(&g);
+        let eta = &fit.model.eta;
+        assert!(
+            !eta.has_topic_copy(),
+            "fit returned η with its topic-major copy"
+        );
+        // Asked for a block, it builds the copy again from its cells.
+        let block = eta.topic_block(1);
+        assert_eq!(
+            block[2 * eta.n_communities() + 3].to_bits(),
+            eta.at(2, 3, 1).to_bits()
+        );
+        assert!(eta.has_topic_copy());
     }
 
     #[test]

@@ -152,6 +152,22 @@ impl Eta {
         &by_topic[z * block..(z + 1) * block]
     }
 
+    /// The same cells without the topic-major copy (a later
+    /// [`Eta::topic_block`] builds it again): what a fit hands back, so
+    /// a model kept or served in-process holds only the `c`-major cells.
+    pub(crate) fn without_topic_copy(self) -> Self {
+        Self {
+            by_topic: Arc::default(),
+            ..self
+        }
+    }
+
+    /// Whether the topic-major copy has been built.
+    #[cfg(test)]
+    pub(crate) fn has_topic_copy(&self) -> bool {
+        self.by_topic.get().is_some()
+    }
+
     /// Topic-aggregated diffusion strength `Σ_z η_{c,c',z}`
     /// (Sect. 5, "diffusion with topic aggregation").
     pub fn aggregate_strength(&self, c: usize, c2: usize) -> f64 {

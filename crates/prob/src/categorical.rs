@@ -71,6 +71,12 @@ pub fn sample_log_index<R: Rng + ?Sized>(rng: &mut R, log_weights: &[f64]) -> us
 /// maximum first.
 pub fn exp_shift_total(lw: &mut [f64]) -> f64 {
     let m = lw.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    exp_shift_by(lw, m)
+}
+
+/// `lw ← exp(lw − m)` in place, returning the sum in index order.
+#[inline]
+fn exp_shift_by(lw: &mut [f64], m: f64) -> f64 {
     let mut total = 0.0;
     for l in lw.iter_mut() {
         *l = (*l - m).exp();
@@ -85,28 +91,52 @@ pub fn exp_shift_total(lw: &mut [f64]) -> f64 {
 /// the single uniform draw, and the subtraction scan are all identical,
 /// so for any RNG state this returns the same index as the read-only
 /// variant.
+///
+/// It is [`prepare_log_weights`] followed by [`draw_prepared`]: a
+/// caller that draws repeatedly from one conditional can keep the
+/// prepared buffer and its total and call only the second half, with
+/// the same draw for the same RNG state.
 pub fn sample_log_index_mut<R: Rng + ?Sized>(rng: &mut R, log_weights: &mut [f64]) -> usize {
     assert!(!log_weights.is_empty());
+    let total = prepare_log_weights(log_weights);
+    draw_prepared(rng, log_weights, total)
+}
+
+/// The first half of [`sample_log_index_mut`]: shift `log_weights` by
+/// their maximum and exponentiate them in place, returning the total
+/// mass in index order. With no finite maximum (every entry `-inf`, or
+/// one `+inf`) the buffer is left as it was and the result is `None`,
+/// which [`draw_prepared`] answers with a uniform index.
+#[inline]
+pub fn prepare_log_weights(log_weights: &mut [f64]) -> Option<f64> {
     let m = log_weights
         .iter()
         .copied()
         .fold(f64::NEG_INFINITY, f64::max);
-    if !m.is_finite() {
-        return rng.gen_range(0..log_weights.len());
-    }
-    let total = exp_shift_total(log_weights);
+    m.is_finite().then(|| exp_shift_by(log_weights, m))
+}
+
+/// The second half of [`sample_log_index_mut`]: one uniform draw
+/// scanned against `weights`, which [`prepare_log_weights`] produced
+/// together with `total`. Reading the weights only, it can be called
+/// any number of times on one prepared buffer.
+#[inline]
+pub fn draw_prepared<R: Rng + ?Sized>(rng: &mut R, weights: &[f64], total: Option<f64>) -> usize {
+    let Some(total) = total else {
+        return rng.gen_range(0..weights.len());
+    };
     let mut u = rng.gen::<f64>() * total;
-    for (i, &w) in log_weights.iter().enumerate() {
+    for (i, &w) in weights.iter().enumerate() {
         u -= w;
         if u <= 0.0 {
             return i;
         }
     }
     // Same floating-point-slack guard as `sample_log_index`.
-    log_weights
+    weights
         .iter()
         .rposition(|&w| w > 0.0)
-        .unwrap_or(log_weights.len() - 1)
+        .unwrap_or(weights.len() - 1)
 }
 
 /// Precomputed cumulative weights; O(log n) draws by binary search.
@@ -318,6 +348,38 @@ mod tests {
             let mut buf = lw.clone();
             let b = sample_log_index_mut(&mut rng_b, &mut buf);
             assert_eq!(a, b, "draws diverged on {lw:?}");
+        }
+    }
+
+    #[test]
+    fn prepared_draws_repeat_the_one_shot_sampler() {
+        // One prepared buffer drawn from many times gives the draws a
+        // fresh `sample_log_index_mut` call per draw gives, including
+        // the uniform fallback of an all `-inf` buffer.
+        let mut gen = seeded_rng(60);
+        for len in 1usize..24 {
+            let lw: Vec<f64> = if len % 7 == 0 {
+                vec![f64::NEG_INFINITY; len]
+            } else {
+                (0..len)
+                    .map(|_| {
+                        if gen.gen::<f64>() < 0.1 {
+                            f64::NEG_INFINITY
+                        } else {
+                            gen.gen::<f64>() * 30.0 - 15.0
+                        }
+                    })
+                    .collect()
+            };
+            let mut prepared = lw.clone();
+            let total = prepare_log_weights(&mut prepared);
+            let (mut rng_a, mut rng_b) = (seeded_rng(61 + len as u64), seeded_rng(61 + len as u64));
+            for _ in 0..50 {
+                let mut buf = lw.clone();
+                let a = sample_log_index_mut(&mut rng_a, &mut buf);
+                assert_eq!(a, draw_prepared(&mut rng_b, &prepared, total), "{lw:?}");
+                assert_eq!(buf, prepared);
+            }
         }
     }
 

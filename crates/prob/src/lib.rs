@@ -29,8 +29,8 @@ pub mod stats;
 pub mod zipf;
 
 pub use categorical::{
-    exp_shift_total, sample_index, sample_log_index, sample_log_index_mut, AliasTable,
-    CumulativeTable,
+    draw_prepared, exp_shift_total, prepare_log_weights, sample_index, sample_log_index,
+    sample_log_index_mut, AliasTable, CumulativeTable,
 };
 pub use dirichlet::{sample_dirichlet, sample_symmetric_dirichlet};
 pub use logcache::{LogCountCache, LogShiftCache};

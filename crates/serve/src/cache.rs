@@ -16,9 +16,25 @@
 //!
 //! The store is a fixed number of independently locked shards (selected
 //! by the key's high bits, which FNV mixes well), each a small
-//! tick-stamped LRU map — lookups from different connections contend
-//! only 1-in-[`N_SHARDS`] of the time, and eviction is an `O(shard)`
-//! scan that is negligible next to the Gibbs chain it replaces.
+//! tick-stamped map — lookups from different connections contend only
+//! 1-in-[`N_SHARDS`] of the time, and eviction is an `O(shard)` scan
+//! that is negligible next to the Gibbs chain it replaces.
+//!
+//! Each shard is a **segmented LRU** (Karedla, Love & Wherry, 1994): a
+//! new entry starts in a *probation* segment, its first hit moves it to
+//! a *protected* segment holding at most 4/5 of the shard (rounded
+//! down), and a full shard evicts its least recently used probation
+//! entry. When a promotion overfills the protected segment, its least
+//! recently used entry goes back to probation as the most recently
+//! used one there. The split is what makes the cache scan-resistant:
+//! fold-in traffic mixes items that repeat (a profile page re-queried,
+//! a document scored by several applications) with a stream of one-off
+//! items that are never asked for again. Under a plain LRU every
+//! one-off pushes a repeating entry one step closer to eviction; here
+//! one-offs only ever displace each other in probation, while an entry
+//! that has been hit once waits in the protected segment until
+//! something that has also been hit displaces it. The capacity still
+//! counts every entry of both segments.
 //!
 //! Hit / miss / eviction counts are recorded **directly** into
 //! [`cpd_telemetry::Counter`] cells (one relaxed atomic op, the same
@@ -36,6 +52,11 @@ use std::sync::Mutex;
 
 /// Independently locked shards in a [`FoldCache`].
 pub const N_SHARDS: usize = 8;
+
+/// The most a shard's protected segment holds, as (numerator,
+/// denominator) of the shard's capacity, rounded down: a shard of one
+/// entry protects none and is a plain LRU.
+const PROTECTED_SHARE: (usize, usize) = (4, 5);
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -99,11 +120,15 @@ impl CacheStats {
     }
 }
 
-/// One entry: the profile plus its LRU tick and the generation it was
-/// computed against (kept for targeted invalidation sweeps).
+/// One entry: the profile plus its LRU tick, its segment and the
+/// generation it was computed against (kept for targeted invalidation
+/// sweeps).
 struct Entry {
     tick: u64,
     generation: u64,
+    /// In the protected segment (hit at least once since it last
+    /// entered probation).
+    protected: bool,
     profile: FoldedProfile,
 }
 
@@ -111,9 +136,39 @@ struct Entry {
 struct Shard {
     map: HashMap<u64, Entry>,
     tick: u64,
+    /// Entries of `map` in the protected segment.
+    protected: usize,
 }
 
-/// A sharded LRU of [`FoldedProfile`]s keyed by [`fold_key`].
+impl Shard {
+    fn next_tick(&mut self) -> u64 {
+        self.tick += 1;
+        self.tick
+    }
+
+    /// The least recently used key of the protected or the probation
+    /// segment.
+    fn oldest(&self, protected: bool) -> Option<u64> {
+        self.map
+            .iter()
+            .filter(|(_, e)| e.protected == protected)
+            .min_by_key(|(_, e)| e.tick)
+            .map(|(&k, _)| k)
+    }
+
+    /// Move the least recently used protected entry to the most
+    /// recently used end of probation.
+    fn demote_oldest_protected(&mut self) {
+        let tick = self.next_tick();
+        if let Some(entry) = self.oldest(true).and_then(|k| self.map.get_mut(&k)) {
+            entry.protected = false;
+            entry.tick = tick;
+            self.protected -= 1;
+        }
+    }
+}
+
+/// A sharded segmented LRU of [`FoldedProfile`]s keyed by [`fold_key`].
 ///
 /// Capacity 0 disables the cache entirely: every lookup misses without
 /// counting, so a cache-less runtime's diagnostics stay all-zero.
@@ -121,6 +176,9 @@ pub struct FoldCache {
     shards: Vec<Mutex<Shard>>,
     /// Max entries per shard (total capacity / [`N_SHARDS`], min 1).
     per_shard: usize,
+    /// Max protected entries per shard (`PROTECTED_SHARE` of
+    /// `per_shard`).
+    protected_cap: usize,
     hits: Counter,
     misses: Counter,
     evictions: Counter,
@@ -149,11 +207,13 @@ impl FoldCache {
         } else {
             capacity.div_ceil(N_SHARDS).max(1)
         };
+        let (num, den) = PROTECTED_SHARE;
         Self {
             shards: (0..N_SHARDS)
                 .map(|_| Mutex::new(Shard::default()))
                 .collect(),
             per_shard,
+            protected_cap: per_shard * num / den,
             hits,
             misses,
             evictions,
@@ -171,47 +231,58 @@ impl FoldCache {
         &self.shards[(key >> 61) as usize % N_SHARDS]
     }
 
-    /// Look `key` up, counting a hit or miss (no-op when disabled).
+    /// Look `key` up, counting a hit or miss (no-op when disabled). A
+    /// hit on a probation entry promotes it to the protected segment.
     pub fn get(&self, key: u64) -> Option<FoldedProfile> {
         if !self.enabled() {
             return None;
         }
         let mut shard = lock(self.shard(key));
-        shard.tick += 1;
-        let tick = shard.tick;
-        match shard.map.get_mut(&key) {
-            Some(entry) => {
-                entry.tick = tick;
-                let profile = entry.profile.clone();
-                drop(shard);
-                self.hits.inc();
-                Some(profile)
-            }
-            None => {
-                drop(shard);
-                self.misses.inc();
-                None
+        let tick = shard.next_tick();
+        let Some(entry) = shard.map.get_mut(&key) else {
+            drop(shard);
+            self.misses.inc();
+            return None;
+        };
+        entry.tick = tick;
+        let profile = entry.profile.clone();
+        if !entry.protected {
+            entry.protected = true;
+            shard.protected += 1;
+            if shard.protected > self.protected_cap {
+                shard.demote_oldest_protected();
             }
         }
+        drop(shard);
+        self.hits.inc();
+        Some(profile)
     }
 
     /// Insert the profile computed for `key` under snapshot
-    /// `generation`, evicting the shard's least recently used entry if
-    /// it is full (no-op when disabled).
+    /// `generation` into the shard's probation segment, evicting the
+    /// least recently used probation entry if the shard is full (no-op
+    /// when disabled). A key already present (two workers folding the
+    /// same item at once) keeps its segment and takes the new value.
     pub fn insert(&self, key: u64, generation: u64, profile: FoldedProfile) {
         if !self.enabled() {
             return;
         }
         let mut shard = lock(self.shard(key));
-        shard.tick += 1;
-        let tick = shard.tick;
-        if shard.map.len() >= self.per_shard && !shard.map.contains_key(&key) {
-            // O(shard) LRU scan — shards are small (capacity /
-            // N_SHARDS) and eviction only happens under capacity
-            // pressure, so this never shows next to the Gibbs chain
-            // whose rerun it saves.
-            if let Some(&lru) = shard.map.iter().min_by_key(|(_, e)| e.tick).map(|(k, _)| k) {
-                shard.map.remove(&lru);
+        let tick = shard.next_tick();
+        if let Some(entry) = shard.map.get_mut(&key) {
+            entry.tick = tick;
+            entry.generation = generation;
+            entry.profile = profile;
+            return;
+        }
+        if shard.map.len() >= self.per_shard {
+            // O(shard) scan — shards are small (capacity / N_SHARDS)
+            // and eviction only happens under capacity pressure, so
+            // this never shows next to the Gibbs chain whose rerun it
+            // saves. The protected segment never fills a shard, so
+            // probation always has an entry to give up.
+            if let Some(victim) = shard.oldest(false) {
+                shard.map.remove(&victim);
                 self.evictions.inc();
             }
         }
@@ -220,6 +291,7 @@ impl FoldCache {
             Entry {
                 tick,
                 generation,
+                protected: false,
                 profile,
             },
         );
@@ -230,7 +302,9 @@ impl FoldCache {
     /// frees their memory immediately).
     pub fn invalidate(&self) {
         for shard in &self.shards {
-            lock(shard).map.clear();
+            let mut shard = lock(shard);
+            shard.map.clear();
+            shard.protected = 0;
         }
     }
 
@@ -242,7 +316,9 @@ impl FoldCache {
     /// unreachable anyway (the generation is mixed into every key).
     pub fn retain_generation(&self, live: u64) {
         for shard in &self.shards {
-            lock(shard).map.retain(|_, e| e.generation >= live);
+            let mut shard = lock(shard);
+            shard.map.retain(|_, e| e.generation >= live);
+            shard.protected = shard.map.values().filter(|e| e.protected).count();
         }
     }
 
@@ -335,6 +411,112 @@ mod tests {
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.hits, 2);
         assert_eq!(stats.misses, 1);
+    }
+
+    /// The `i`th key of shard `shard` (shards are picked by the top
+    /// three bits).
+    fn key_in(shard: u64, i: u64) -> u64 {
+        shard << 61 | i
+    }
+
+    /// A shard's protected count, checked against its entries' flags.
+    fn protected_in(cache: &FoldCache, shard: u64) -> usize {
+        let shard = lock(&cache.shards[shard as usize]);
+        let flagged = shard.map.values().filter(|e| e.protected).count();
+        assert_eq!(shard.protected, flagged, "protected count drifted");
+        flagged
+    }
+
+    #[test]
+    fn one_off_inserts_do_not_evict_repeated_entries() {
+        let per_shard = 8;
+        let cache = FoldCache::new(per_shard * N_SHARDS);
+        let hot: Vec<u64> = (0..4).map(|i| key_in(3, i)).collect();
+        for &k in &hot {
+            cache.insert(k, 1, profile(k as f64));
+            assert!(cache.get(k).is_some());
+        }
+        // Ten shards' worth of one-off fold-ins, each a miss and an
+        // insert as the runtime makes them. A plain LRU of 8 would have
+        // dropped the hot entries after the first 8.
+        for i in 0..10 * per_shard as u64 {
+            let k = key_in(3, 1_000 + i);
+            assert!(cache.get(k).is_none());
+            cache.insert(k, 1, profile(0.0));
+        }
+        for &k in &hot {
+            assert!(cache.get(k).is_some(), "hot entry {k:#x} evicted");
+        }
+        let stats = cache.stats();
+        assert_eq!(stats.entries, per_shard as u64);
+        assert_eq!(
+            stats.evictions,
+            (hot.len() + 10 * per_shard - per_shard) as u64
+        );
+        assert_eq!(protected_in(&cache, 3), hot.len());
+    }
+
+    #[test]
+    fn promotion_past_the_protected_share_demotes_the_oldest_protected_entry() {
+        // Ten entries a shard, at most eight protected.
+        let cache = FoldCache::new(10 * N_SHARDS);
+        let k: Vec<u64> = (0..12).map(|i| key_in(5, i)).collect();
+        for &key in &k[..9] {
+            cache.insert(key, 1, profile(0.0));
+        }
+        for &key in &k[..8] {
+            assert!(cache.get(key).is_some());
+        }
+        cache.insert(k[9], 1, profile(0.0));
+        assert_eq!(protected_in(&cache, 5), 8);
+        // Promoting k8 overfills the segment: k0, the least recently
+        // used protected entry, goes to the young end of probation,
+        // behind k9 (which arrived after k0's last hit).
+        assert!(cache.get(k[8]).is_some());
+        assert_eq!(protected_in(&cache, 5), 8);
+        assert!(!lock(&cache.shards[5]).map[&k[0]].protected);
+        cache.insert(k[10], 1, profile(0.0));
+        assert!(
+            !lock(&cache.shards[5]).map.contains_key(&k[9]),
+            "k9 evicted first"
+        );
+        cache.insert(k[11], 1, profile(0.0));
+        assert!(!lock(&cache.shards[5]).map.contains_key(&k[0]), "then k0");
+        for &key in &k[1..9] {
+            assert!(cache.get(key).is_some(), "protected {key:#x} survives");
+        }
+        assert_eq!(cache.stats().evictions, 2);
+    }
+
+    #[test]
+    fn invalidate_and_retain_generation_keep_the_protected_count() {
+        let cache = FoldCache::new(10 * N_SHARDS);
+        for i in 0..6 {
+            let generation = 1 + i % 2;
+            cache.insert(key_in(2, i), generation, profile(0.0));
+            assert!(cache.get(key_in(2, i)).is_some());
+        }
+        cache.insert(key_in(2, 6), 2, profile(0.0));
+        assert_eq!(protected_in(&cache, 2), 6);
+        cache.retain_generation(2);
+        assert_eq!(
+            protected_in(&cache, 2),
+            3,
+            "keys 1, 3 and 5 remain protected"
+        );
+        // The segment still fills to exactly its cap: a stale count
+        // would demote too early.
+        for i in 10..15 {
+            cache.insert(key_in(2, i), 2, profile(0.0));
+            assert!(cache.get(key_in(2, i)).is_some());
+        }
+        assert_eq!(protected_in(&cache, 2), 8);
+        cache.invalidate();
+        assert_eq!(protected_in(&cache, 2), 0);
+        assert_eq!(cache.stats().entries, 0);
+        cache.insert(key_in(2, 20), 3, profile(0.0));
+        assert!(cache.get(key_in(2, 20)).is_some());
+        assert_eq!(protected_in(&cache, 2), 1);
     }
 
     #[test]

@@ -28,16 +28,46 @@
 //!
 //! The per-engine [`FoldScratch`] reuses every buffer across items —
 //! the same idiom as the trainer's `SweepScratch` — so the per-item
-//! hot loop never touches the allocator.
+//! hot loop never touches the allocator once it has grown to the
+//! largest item.
+//!
+//! # Each conditional computed once
+//!
+//! With the global parameters frozen, several of the chain's
+//! conditionals depend only on a small discrete state, and the chain
+//! revisits those states sweep after sweep. Each is computed the first
+//! time its state comes up and kept for the rest of the item:
+//!
+//! * `ln(n + ρ)` for the community prior, as a table over
+//!   `n ∈ 0..=|D|` (a count never exceeds the item's documents);
+//! * the topic conditional of document `d`, `ln φ`-sum plus
+//!   `ln θ_{c,·}`, which depends only on `(d, c_d)`;
+//! * for a single-document item, the whole community conditional
+//!   (friendship terms included): with its only document removed the
+//!   item's counts are all zero, so it depends only on the new topic.
+//!   With several documents the counts move with every draw and the
+//!   community conditional is computed per draw as before.
+//!
+//! A kept conditional is stored as the shifted weights and total that
+//! [`prepare_log_weights`] made of it, and each draw scans them with
+//! [`draw_prepared`] — the two halves of `sample_log_index_mut`, which
+//! the other draws still call. This is bit-exact: a kept value is the
+//! same floating-point expression on the same operands as the one it
+//! replaces, and a draw consumes one uniform (or one `gen_range` when
+//! no weight is finite) exactly as the one-shot sampler does, so the
+//! RNG stream, every draw and every profile are unchanged. The memos
+//! are reset per item, so nothing carries over between items sharing
+//! a scratch.
 
 use crate::index::ProfileIndex;
 use cpd_core::features::{community_feature, F_ACT_V, F_COMMUNITY, F_POP_V, F_TOPIC_POP};
 use cpd_core::features::{UserFeatures, N_FEATURES};
 use cpd_core::{exp_shift_max, membership_link_score, soft_community_factor};
-use cpd_prob::categorical::sample_log_index_mut;
+use cpd_prob::categorical::{draw_prepared, prepare_log_weights, sample_log_index_mut};
 use cpd_prob::rng::child_rng;
 use cpd_prob::special::sigmoid;
 use cpd_telemetry::ActiveTrace;
+use rand::Rng;
 use social_graph::{UserId, WordId};
 use std::time::Instant;
 
@@ -218,10 +248,16 @@ pub(crate) fn diffusion_score_rows(
 pub struct FoldScratch {
     /// Cached per-document topic log affinities (`D × Z`, doc-major).
     doc_logq: Vec<f64>,
+    /// `ln(n + ρ)` for `n ∈ 0..=D`.
+    ln_n_rho: Vec<f64>,
     /// Topic-candidate log weights (`Z`).
     lw_topic: Vec<f64>,
     /// Community-candidate log weights (`C`).
     lw_comm: Vec<f64>,
+    /// The topic conditional per (document, current community).
+    topic_memo: DrawMemo,
+    /// A single-document item's community conditional per topic.
+    comm_memo: DrawMemo,
     /// User-local community counts `n_uc` (`C`).
     n_uc: Vec<u32>,
     /// Current per-document assignments (`D` each).
@@ -237,6 +273,62 @@ impl FoldScratch {
     /// Fresh (empty) scratch; buffers grow to fit the largest item.
     pub fn new() -> Self {
         Self::default()
+    }
+}
+
+/// One conditional family of a chain, keyed by the small discrete state
+/// it depends on: a key's log weights are computed and prepared
+/// ([`prepare_log_weights`]) the first time the chain reaches it, and
+/// every later draw at that key only scans the kept weights
+/// ([`draw_prepared`]). Rows are appended in visiting order, so the
+/// memory follows the states the chain reaches, not the key space.
+#[derive(Debug, Default)]
+struct DrawMemo {
+    /// Per key: its row in `weights` plus one, or 0 when not yet filled.
+    row_of: Vec<u32>,
+    /// Prepared weights, `width` per filled key.
+    weights: Vec<f64>,
+    /// Per filled row: the total from [`prepare_log_weights`].
+    totals: Vec<Option<f64>>,
+    width: usize,
+}
+
+impl DrawMemo {
+    /// Forget every key (one per item, so nothing leaks between items).
+    fn reset(&mut self, keys: usize, width: usize) {
+        refill(&mut self.row_of, keys, 0);
+        self.weights.clear();
+        self.totals.clear();
+        self.width = width;
+    }
+
+    /// Draw from `key`'s conditional, writing its log weights with
+    /// `fill` on the key's first use.
+    #[inline]
+    fn draw<R: Rng + ?Sized>(
+        &mut self,
+        rng: &mut R,
+        key: usize,
+        fill: impl FnOnce(&mut [f64]),
+    ) -> usize {
+        let width = self.width;
+        let row = match self.row_of[key] {
+            0 => {
+                let start = self.weights.len();
+                self.weights.resize(start + width, 0.0);
+                let lw = &mut self.weights[start..];
+                fill(lw);
+                self.totals.push(prepare_log_weights(lw));
+                self.row_of[key] = self.totals.len() as u32;
+                self.totals.len() - 1
+            }
+            filled => filled as usize - 1,
+        };
+        draw_prepared(
+            rng,
+            &self.weights[row * width..(row + 1) * width],
+            self.totals[row],
+        )
     }
 }
 
@@ -407,6 +499,15 @@ impl<'a> FoldIn<'a> {
         refill(&mut scratch.pi_acc, c_n, 0.0);
         refill(&mut scratch.mix_acc, z_n, 0.0);
         refill(&mut scratch.doc_topic_acc, d_n * z_n, 0.0);
+        scratch.ln_n_rho.clear();
+        scratch
+            .ln_n_rho
+            .extend((0..=d_n).map(|n| (n as f64 + rho).ln()));
+        scratch.topic_memo.reset(d_n * c_n, z_n);
+        // With its only document removed, a single-document item's
+        // counts are all zero, so its community conditional is a
+        // function of the new topic alone.
+        scratch.comm_memo.reset(if d_n == 1 { z_n } else { 0 }, c_n);
         let denom_u = d_n as f64 + c_n as f64 * rho;
         let mut samples = 0usize;
         for sweep in 0..self.config.sweeps {
@@ -414,35 +515,45 @@ impl<'a> FoldIn<'a> {
             // untraced path pays a single branch here.
             let sweep_start = trace.map(|_| Instant::now());
             for d in 0..d_n {
-                // Topic resample: θ frozen, words fixed.
+                // Topic resample: θ frozen, words fixed, so the
+                // conditional is a function of (d, c_d).
                 let c_cur = scratch.doc_c[d] as usize;
                 let logq = &scratch.doc_logq[d * z_n..(d + 1) * z_n];
-                let theta_row = idx.log_theta_row(c_cur);
-                for ((lw, &lq), &lt) in scratch.lw_topic.iter_mut().zip(logq).zip(theta_row) {
-                    *lw = lq + lt;
-                }
-                let z_new = sample_log_index_mut(&mut rng, &mut scratch.lw_topic);
+                let z_new = scratch.topic_memo.draw(&mut rng, d * c_n + c_cur, |lw| {
+                    let theta_row = idx.log_theta_row(c_cur);
+                    for ((lw, &lq), &lt) in lw.iter_mut().zip(logq).zip(theta_row) {
+                        *lw = lq + lt;
+                    }
+                });
                 scratch.doc_z[d] = z_new as u32;
 
                 // Community resample with the document removed.
                 scratch.n_uc[c_cur] -= 1;
-                for (c, lw) in scratch.lw_comm.iter_mut().enumerate() {
-                    *lw = (scratch.n_uc[c] as f64 + rho).ln() + idx.log_theta_row(c)[z_new];
-                }
-                // Friendship evidence: exact Bernoulli likelihood with
-                // the O(1)-per-candidate incremental dot product.
-                for &v in &item.friends {
-                    let pi_v = idx.user_membership(v);
-                    let mut s_v = 0.0f64;
-                    for (c, &pv) in pi_v.iter().enumerate() {
-                        s_v += (scratch.n_uc[c] as f64 + rho) * pv;
+                let (n_uc, ln_n_rho) = (&scratch.n_uc, &scratch.ln_n_rho);
+                let fill = |lw: &mut [f64]| {
+                    for (c, lw) in lw.iter_mut().enumerate() {
+                        *lw = ln_n_rho[n_uc[c] as usize] + idx.log_theta_row(c)[z_new];
                     }
-                    for (c, lw) in scratch.lw_comm.iter_mut().enumerate() {
-                        let dot = (s_v + pi_v[c]) / denom_u;
-                        *lw += sigmoid(dot).max(f64::MIN_POSITIVE).ln();
+                    // Friendship evidence: exact Bernoulli likelihood with
+                    // the O(1)-per-candidate incremental dot product.
+                    for &v in &item.friends {
+                        let pi_v = idx.user_membership(v);
+                        let mut s_v = 0.0f64;
+                        for (c, &pv) in pi_v.iter().enumerate() {
+                            s_v += (n_uc[c] as f64 + rho) * pv;
+                        }
+                        for (c, lw) in lw.iter_mut().enumerate() {
+                            let dot = (s_v + pi_v[c]) / denom_u;
+                            *lw += sigmoid(dot).max(f64::MIN_POSITIVE).ln();
+                        }
                     }
-                }
-                let c_new = sample_log_index_mut(&mut rng, &mut scratch.lw_comm);
+                };
+                let c_new = if d_n == 1 {
+                    scratch.comm_memo.draw(&mut rng, z_new, fill)
+                } else {
+                    fill(&mut scratch.lw_comm);
+                    sample_log_index_mut(&mut rng, &mut scratch.lw_comm)
+                };
                 scratch.doc_c[d] = c_new as u32;
                 scratch.n_uc[c_new] += 1;
             }

@@ -40,7 +40,7 @@
 //!    batches finish on the old generation, later batches see the new
 //!    one, the worker pool never restarts.
 //! 5. **[`FoldCache`]** — fold-in answers are deterministic given
-//!    `(item, seed, generation)`, so a sharded LRU keyed by an FNV
+//!    `(item, seed, generation)`, so a sharded, segmented LRU keyed by an FNV
 //!    content hash returns repeat fold-ins byte-identically without
 //!    re-running the Gibbs chain; the generation in the key makes a
 //!    reload an atomic whole-cache invalidation.

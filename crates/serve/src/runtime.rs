@@ -21,7 +21,7 @@
 //!   generation, later batches see the new one, and the worker pool
 //!   never restarts.
 //! * **Fold-in cache** — fold-in answers are deterministic given
-//!   `(item, seed, generation)`, so a sharded LRU ([`FoldCache`])
+//!   `(item, seed, generation)`, so a sharded, segmented LRU ([`FoldCache`])
 //!   short-circuits repeat fold-ins to a byte-identical cached profile.
 //!   The generation in the key makes a snapshot swap an atomic
 //!   whole-cache invalidation.

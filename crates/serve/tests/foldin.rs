@@ -234,3 +234,129 @@ fn serving_leaves_the_frozen_model_byte_identical() {
     write_model(index.model(), &mut after).unwrap();
     assert_eq!(before, after, "serving mutated the frozen model");
 }
+
+/// A model of the serving shape's `|C| = |Z| = 50` (on a smaller
+/// vocabulary and user set): sparse Dirichlet rows with a uniform
+/// floor, like the synthetic snapshot of the repository benchmark, so
+/// the conditionals are peaked and the chains revisit states.
+fn serving_shape_model() -> (CpdModel, CpdConfig) {
+    use cpd_prob::dirichlet::sample_symmetric_dirichlet;
+    use cpd_prob::rng::seeded_rng;
+    let (c_n, z_n, v_n, u_n) = (50, 50, 400, 120);
+    let mut rng = seeded_rng(0x5E7E);
+    let mut row = |n: usize, alpha: f64, floor: f64| -> Vec<f64> {
+        sample_symmetric_dirichlet(&mut rng, n, alpha)
+            .into_iter()
+            .map(|p| (1.0 - floor) * p + floor / n as f64)
+            .collect()
+    };
+    let pi = (0..u_n).map(|_| row(c_n, 0.1, 0.05)).collect();
+    let theta = (0..c_n).map(|_| row(z_n, 0.1, 0.05)).collect();
+    let phi = (0..z_n).map(|_| row(v_n, 0.05, 0.1)).collect();
+    let model = CpdModel {
+        pi,
+        theta,
+        phi,
+        eta: Eta::uniform(c_n, z_n),
+        nu: vec![0.1; cpd_core::features::N_FEATURES],
+        topic_popularity: vec![vec![1.0 / z_n as f64; z_n]],
+        doc_community: vec![],
+        doc_topic: vec![],
+    };
+    (model, CpdConfig::new(c_n, z_n))
+}
+
+/// Deterministic fold-in items of every shape, big and small
+/// interleaved: slot `i % 6` picks docless / one document / several
+/// documents, each without and with friends (duplicates allowed);
+/// documents may be empty, and every fifth multi-document item is
+/// large (up to 24 documents of up to 30 words).
+fn fingerprint_items(n: usize, v_n: u32, u_n: u32, seed: u64) -> Vec<(FoldInItem, u64)> {
+    use rand::Rng;
+    let mut rng = cpd_prob::rng::seeded_rng(seed);
+    (0..n)
+        .map(|i| {
+            let n_docs = match (i % 6) / 2 {
+                0 => 0,
+                1 => 1,
+                _ if i % 5 == 0 => rng.gen_range(12..=24),
+                _ => rng.gen_range(2..=5),
+            };
+            let max_words = if n_docs > 5 { 30 } else { 12 };
+            let docs = (0..n_docs)
+                .map(|_| {
+                    let len = rng.gen_range(0..=max_words);
+                    (0..len).map(|_| WordId(rng.gen_range(0..v_n))).collect()
+                })
+                .collect();
+            let friends = if i % 2 == 1 {
+                let k = rng.gen_range(1..=6);
+                (0..k).map(|_| UserId(rng.gen_range(0..u_n))).collect()
+            } else {
+                Vec::new()
+            };
+            (FoldInItem::user(docs, friends), rng.gen())
+        })
+        .collect()
+}
+
+/// FNV-1a over every bit of every profile, lengths included.
+fn profile_fingerprint(profiles: &[cpd_serve::FoldedProfile]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |x: u64| {
+        for b in x.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for p in profiles {
+        for row in [&p.membership, &p.topics]
+            .into_iter()
+            .chain(p.doc_topics.iter())
+        {
+            eat(row.len() as u64);
+            row.iter().for_each(|x| eat(x.to_bits()));
+        }
+        eat(p.doc_topics.len() as u64);
+    }
+    h
+}
+
+/// Every bit of ~600 fold-in answers, captured before the chain's
+/// conditionals were memoised: any change to the arithmetic, the RNG
+/// order or the per-item reset of the scratch buffers moves a hash.
+/// One `FoldScratch` serves all of a model's items through
+/// `profile_with_seed`, and `profile_batch` replays them by slot.
+#[test]
+fn fold_in_reproduces_captured_profiles() {
+    const CAPTURED: [(&str, u64, u64); 2] = [
+        ("separable", 0xfa5a_215c_7f47_d696, 0x8c12_e362_6d98_118a),
+        (
+            "serving-shape",
+            0x8e84_b689_e212_83fb,
+            0x0190_cfc9_6f66_2d91,
+        ),
+    ];
+    let models = [separable_model(), serving_shape_model()];
+    for ((name, by_seed, by_slot), (model, cfg)) in CAPTURED.into_iter().zip(models) {
+        let (v_n, u_n) = (model.vocab_size() as u32, model.pi.len() as u32);
+        let index = ProfileIndex::build(model, &cfg);
+        let engine = FoldIn::new(&index, FoldInConfig::default()).unwrap();
+        let items = fingerprint_items(300, v_n, u_n, 0xF1A6 ^ u64::from(v_n));
+        let mut scratch = FoldScratch::new();
+        let seeded: Vec<_> = items
+            .iter()
+            .map(|(item, seed)| engine.profile_with_seed(item, *seed, &mut scratch))
+            .collect();
+        let batch: Vec<FoldInItem> = items.into_iter().map(|(item, _)| item).collect();
+        let slotted = engine.profile_batch(&batch);
+        let got = (profile_fingerprint(&seeded), profile_fingerprint(&slotted));
+        assert_eq!(
+            got,
+            (by_seed, by_slot),
+            "{name}: (per-seed, per-slot) hashes, got ({:#018x}, {:#018x})",
+            got.0,
+            got.1
+        );
+    }
+}
