@@ -1,18 +1,12 @@
-//! Parallel E-step benchmarks: a threads × graph-size matrix over all
-//! three runtimes (sharded delta-merge, lock-free count plane, legacy
-//! clone-and-rebuild — the Fig. 10(b) speedup claim in micro form),
-//! plus a paper-shaped corpus pitting `LockFreeCounts` against
-//! `DeltaSharded` head-to-head.
+//! Parallel E-step benchmarks: a threads × graph-size matrix over both
+//! runtimes (sharded delta-merge and legacy clone-and-rebuild — the
+//! Fig. 10(b) speedup claim in micro form), plus the same comparison on
+//! a paper-shaped corpus.
 //!
 //! `CloneRebuild` and `DeltaSharded` produce identical draws, so their
 //! wall-clock difference is pure runtime overhead: per-sweep state
 //! clones + count rebuilds on one side, delta recording + folding on
-//! the other. `LockFreeCounts` additionally drops the **full plane
-//! set** — word-topic, community-topic and user-community — from the
-//! delta logs, the barrier fold and the replica sync (the logs shrink
-//! to assignments + `n_tz`); its draws are distributionally (not
-//! byte-) equivalent, so it is compared on wall clock for the same
-//! sweep schedule.
+//! the other.
 //!
 //! Setting `CPD_BENCH_SMOKE=1` runs a single-sweep, tiny-corpus version
 //! of every benchmark (distinct `_smoke` group names so recorded
@@ -45,10 +39,8 @@ fn group_name(base: &str) -> String {
 
 fn runtime_label(runtime: ParallelRuntime) -> &'static str {
     match runtime {
-        ParallelRuntime::Auto => "auto",
         ParallelRuntime::DeltaSharded => "delta",
         ParallelRuntime::CloneRebuild => "clone_rebuild",
-        ParallelRuntime::LockFreeCounts => "lockfree",
     }
 }
 
@@ -65,7 +57,7 @@ fn bench_cfg(c: usize, z: usize, threads: usize, runtime: ParallelRuntime) -> Cp
     }
 }
 
-/// Threads × graph-size matrix across all three runtimes.
+/// Threads × graph-size matrix across both runtimes.
 fn bench_thread_size_matrix(c: &mut Criterion) {
     let mut group = c.benchmark_group(group_name("gibbs_parallel_matrix"));
     group.sample_size(if smoke() { 2 } else { 10 });
@@ -78,11 +70,7 @@ fn bench_thread_size_matrix(c: &mut Criterion) {
     for &(size_name, scale) in sizes {
         let (g, _) = generate(&GenConfig::twitter_like(scale));
         for &threads in ladder {
-            for runtime in [
-                ParallelRuntime::DeltaSharded,
-                ParallelRuntime::LockFreeCounts,
-                ParallelRuntime::CloneRebuild,
-            ] {
+            for runtime in [ParallelRuntime::DeltaSharded, ParallelRuntime::CloneRebuild] {
                 let label = runtime_label(runtime);
                 group.bench_function(format!("{label}_{size_name}_x{threads}"), |b| {
                     let trainer = Cpd::new(bench_cfg(8, 12, threads, runtime)).unwrap();
@@ -146,38 +134,9 @@ fn paper_shaped_corpus() -> GenConfig {
     }
 }
 
-/// The full lock-free plane set vs the delta-sharded barrier on the
-/// paper-shaped corpus: under `DeltaSharded` every moved token costs
-/// two `n_zw` log entries and every moved document `n_cz`/`n_uc`
-/// entries that are folded at the barrier and replayed by (or
-/// snapshot-copied to) every replica; under `LockFreeCounts` all of
-/// those increments go straight to the shared atomic planes and that
-/// traffic disappears. Results land in `BENCH_lockfree_counts.json`.
-fn bench_lockfree_vs_delta(c: &mut Criterion) {
-    let gen = paper_shaped_corpus();
-    let (g, _) = generate(&gen);
-    let mut group = c.benchmark_group(group_name("lockfree_counts"));
-    group.sample_size(if smoke() { 2 } else { 10 });
-    let ladder: &[usize] = if smoke() { &[2] } else { &THREAD_LADDER };
-    for &threads in ladder {
-        for runtime in [
-            ParallelRuntime::DeltaSharded,
-            ParallelRuntime::LockFreeCounts,
-        ] {
-            let label = runtime_label(runtime);
-            group.bench_function(format!("{label}_x{threads}"), |b| {
-                let trainer = Cpd::new(bench_cfg(8, 50, threads, runtime)).unwrap();
-                b.iter(|| trainer.fit(&g));
-            });
-        }
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_thread_size_matrix,
-    bench_delta_vs_clone_rebuild,
-    bench_lockfree_vs_delta
+    bench_delta_vs_clone_rebuild
 );
 criterion_main!(benches);

@@ -85,10 +85,8 @@ fn bench_cfg(threads: usize, sampler: SamplerKind) -> CpdConfig {
         threads: Some(threads),
         seed: 17,
         sampler,
-        // `Auto` (the default): the adaptive picker resolves the
-        // runtime from the corpus shape, identically for every sampler
-        // kind at a given thread count, so the comparison stays about
-        // the per-document math.
+        // The default runtime for every sampler kind, so the
+        // comparison stays about the per-document math.
         ..CpdConfig::experiment(c, z)
     }
 }

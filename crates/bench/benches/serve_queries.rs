@@ -232,8 +232,9 @@ fn bench_runtime_throughput(c: &mut Criterion) {
 /// Fold-in batch latency through the runtime (the online-profiling hot
 /// path): a batch of unseen documents, and a batch of unseen users shaped
 /// like the repository benchmark's user fold-in (3 documents of 8 words
-/// and 5 trained friends each). The user batch runs on a runtime without
-/// a fold cache, so every iteration runs every chain.
+/// and 5 trained friends each). Every iteration resubmits the same
+/// `(item, seed)` pairs, so both batches run on a runtime without a fold
+/// cache: every iteration runs every chain instead of timing cache hits.
 fn bench_foldin_batch(c: &mut Criterion) {
     let (c_n, z_n, v_n, u_n) = shape();
     let model = synthetic_model(c_n, z_n, v_n, u_n, 0xF01D);
@@ -259,32 +260,26 @@ fn bench_foldin_batch(c: &mut Criterion) {
             seed: i as u64,
         })
         .collect();
-    let workers = if smoke() { 2 } else { 4 };
-    let runtime = |fold_cache_capacity| {
-        ServeRuntime::new(
-            Arc::clone(&index),
-            None,
-            ServeOptions {
-                workers,
-                fold_cache_capacity,
-                ..ServeOptions::default()
-            },
-        )
-        .unwrap()
-    };
-    let cached = runtime(ServeOptions::default().fold_cache_capacity);
-    let uncached = runtime(0);
+    let uncached = ServeRuntime::new(
+        Arc::clone(&index),
+        None,
+        ServeOptions {
+            workers: if smoke() { 2 } else { 4 },
+            fold_cache_capacity: 0,
+            ..ServeOptions::default()
+        },
+    )
+    .unwrap();
 
     let mut group = c.benchmark_group(group_name("serve_foldin"));
     group.sample_size(if smoke() { 2 } else { 10 });
     group.bench_function(format!("foldin_batch_{n_docs}_docs"), |b| {
-        b.iter(|| black_box(cached.submit_batch(batch.clone())))
+        b.iter(|| black_box(uncached.submit_batch(batch.clone())))
     });
     group.bench_function(format!("foldin_batch_{n_users}_users"), |b| {
         b.iter(|| black_box(uncached.submit_batch(users.clone())))
     });
     group.finish();
-    cached.shutdown();
     uncached.shutdown();
 }
 

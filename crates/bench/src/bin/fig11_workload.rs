@@ -7,7 +7,7 @@
 
 use cpd_bench::{datasets, mean, print_table, scale_from_args};
 use cpd_core::parallel::{allocate_segments, balance_ratio, segment_users};
-use cpd_core::{Cpd, CpdConfig, ParallelRuntime};
+use cpd_core::{Cpd, CpdConfig};
 use cpd_datagen::generate;
 use std::process::ExitCode;
 
@@ -96,48 +96,13 @@ fn main() -> ExitCode {
                 }
             }
         );
-        // M-step split (sharded over the idle pool workers).
+        // M-step split: η on the coordinator, ν's gradient passes on
+        // the idle pool workers.
         println!(
-            "m-step per iteration: eta {:.4}s, nu {:.4}s (sharded over {} workers)",
+            "m-step per iteration: eta {:.4}s (serial), nu {:.4}s (gradient over {} workers)",
             mean(&fit.diagnostics.mstep_eta_seconds),
             mean(&fit.diagnostics.mstep_nu_seconds),
             threads,
-        );
-        // Per-plane contention of the fully lock-free runtime on the
-        // same allocation (the delta runtime above reports all zeros).
-        let lf = Cpd::new(CpdConfig {
-            em_iters: 2,
-            gibbs_sweeps: 1,
-            threads: Some(threads),
-            parallel_runtime: ParallelRuntime::LockFreeCounts,
-            seed: 11,
-            ..CpdConfig::experiment(gen.n_communities, gen.n_topics)
-        })
-        .unwrap()
-        .fit(&g);
-        let ops = lf.diagnostics.atomic_ops;
-        let per_sweep = |f: fn(&cpd_core::AtomicOpsBreakdown) -> u64| {
-            if ops.is_empty() {
-                0.0
-            } else {
-                ops.iter().map(f).sum::<u64>() as f64 / ops.len() as f64
-            }
-        };
-        println!(
-            "lock-free planes per sweep: atomic ops n_zw {:.0}, n_cz {:.0}, n_uc {:.0}; merge {:.4}s",
-            per_sweep(|o| o.word_topic),
-            per_sweep(|o| o.comm_topic),
-            per_sweep(|o| o.user_comm),
-            mean(&lf.diagnostics.merge_seconds),
-        );
-        // What the shared planes cost in memory.
-        let fp = lf.diagnostics.plane_bytes;
-        println!(
-            "lock-free planes n_zw {:.1} MB, n_cz {:.1} MB, n_uc {:.1} MB (total {:.1} MB resident)",
-            fp.word_topic as f64 / 1e6,
-            fp.comm_topic as f64 / 1e6,
-            fp.user_comm as f64 / 1e6,
-            fp.total() as f64 / 1e6,
         );
     }
     println!("\nShape check vs paper: per-core times should be roughly flat (good balance),");

@@ -1,5 +1,10 @@
 //! CPD model configuration, including the ablation switches used by the
 //! model-design study (Sect. 6.2) and the baselines built on CPD.
+//!
+//! Parallel execution has two settings, `threads` and
+//! `parallel_runtime`, and the two runtimes draw the same values; the
+//! M-step has no setting of its own (η runs on the coordinator, ν's
+//! gradient on the E-step pool when there is one).
 
 /// How diffusion links are modelled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -13,37 +18,20 @@ pub enum DiffusionModel {
 }
 
 /// Which parallel E-step runtime executes the per-sweep worker barrier
-/// (only consulted when `threads` is set; `DeltaSharded` and
-/// `CloneRebuild` additionally need `threads > 1` — see the "Parallel
-/// runtime" module docs in `parallel.rs` for the three-runtime story).
+/// (only consulted when `threads > 1`; a fit with one thread runs the
+/// serial sweep under either). Both draw the same values — see the
+/// "Parallel runtime" module docs in `parallel.rs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ParallelRuntime {
-    /// Pick a concrete runtime per fit from the corpus shape and the
-    /// thread count — `DeltaSharded` for serial fits and small count
-    /// planes (keeping the deterministic path), `LockFreeCounts` when
-    /// the planes dwarf the per-sweep churn (see `choose_runtime` in
-    /// `parallel.rs` for the heuristic and the bench numbers behind
-    /// it). The resolved choice is reported in
-    /// `FitDiagnostics::runtime`.
-    #[default]
-    Auto,
     /// Persistent sharded workers exchanging sparse `CountDelta`s; no
     /// per-sweep state clone and no count rebuild (Sect. 4.3 runtime).
     /// Draw-for-draw identical to `CloneRebuild`.
+    #[default]
     DeltaSharded,
     /// Legacy runtime: clone the full state per worker per sweep and
     /// rebuild every count matrix after the merge. Kept as a
     /// benchmarking reference and differential-testing oracle.
     CloneRebuild,
-    /// `DeltaSharded` plus a shared lock-free word-topic plane: workers
-    /// publish `n_zw`/`n_z` increments straight into shared packed
-    /// atomics during the sweep, so the biggest count matrix drops out
-    /// of the delta logs, the barrier fold and the replica sync
-    /// entirely. Mid-sweep reads may observe other shards' in-flight
-    /// updates (relaxed ordering), so this runtime is distributionally
-    /// — not draw-for-draw — equivalent to the other two. Runs the
-    /// sharded pool even at `threads = Some(1)`.
-    LockFreeCounts,
 }
 
 /// Which per-document sampling math runs inside the Gibbs sweep — the
@@ -122,20 +110,6 @@ pub struct CpdConfig {
     /// Per-document sampling math (dense oracle, cached+sparse exact,
     /// or alias-MH approximate).
     pub sampler: SamplerKind,
-    /// Overlap the M-step with the next E-step's first document sweep
-    /// (sharded runtimes only; ignored when serial). The sweep runs
-    /// with the previous iteration's η/ν — they are read-only inputs —
-    /// while the coordinator estimates the fresh parameters, swapping
-    /// them in behind an `Arc` at the next barrier. The η inputs (the
-    /// assignment vectors) are barrier-exact; under `LockFreeCounts`
-    /// the ν negative-example features read the live shared planes and
-    /// may observe mid-sweep counts (safe but approximate, like the
-    /// sweep's own reads — under `DeltaSharded` the overlap stays
-    /// fully deterministic). This pipelining changes the draw sequence
-    /// (first sweep per iteration sees one-iteration-stale η/ν), so it
-    /// is off by default; with it off the M-step still parallelises
-    /// over the idle workers, bit-identically to the serial estimators.
-    pub overlap_mstep: bool,
     /// RNG seed.
     pub seed: u64,
     /// Joint vs. two-phase ("no joint modeling" ablation).
@@ -172,7 +146,6 @@ impl CpdConfig {
             threads: None,
             parallel_runtime: ParallelRuntime::default(),
             sampler: SamplerKind::default(),
-            overlap_mstep: false,
             seed: 7,
             training: TrainingMode::Joint,
             diffusion: DiffusionModel::Full,

@@ -135,10 +135,7 @@
 //! author's block: only the author's documents are resampled there, in
 //! the serial sweep and in each `DeltaSharded` or `CloneRebuild`
 //! worker's own replica, and `λ`/`δ` change only in the Pólya-Gamma
-//! passes between sweeps. Under `LockFreeCounts` other workers write
-//! the partner rows concurrently, so the table is a per-block snapshot
-//! of the live planes — a staleness that runtime's relaxed reads
-//! already allow. The `gibbs` tests hold every kernel to its
+//! passes between sweeps. The `gibbs` tests hold every kernel to its
 //! pre-change loop by `to_bits` (the membership test across blocks and
 //! across a sweep, so a table that outlived its block would fail), and
 //! `tests/link_terms.rs` pins whole fits (assignments, `ν` and `η`

@@ -10,9 +10,8 @@ use crate::gibbs::{SamplerStats, SamplerTables, SweepScratch};
 use crate::mstep::{build_nu_training_set_into, estimate_eta_with, fit_nu, MstepScratch};
 use crate::parallel::SweepStats;
 use crate::parallel::{
-    allocate_segments, choose_runtime, clone_rebuild_doc_sweep, parallel_resample_delta,
-    parallel_resample_lambda, segment_users, AtomicOpsBreakdown, FoldBreakdown, Segmentation,
-    WorkerPool,
+    allocate_segments, clone_rebuild_doc_sweep, parallel_resample_delta, parallel_resample_lambda,
+    segment_users, FoldBreakdown, Segmentation, WorkerPool,
 };
 use crate::profiles::{CpdModel, Eta};
 use crate::state::{link_metadata, CpdState, NoDelta};
@@ -23,12 +22,10 @@ use social_graph::SocialGraph;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Resident bytes of the three count planes (dense `Vec<u32>` pairs or
-/// shared atomic planes, whichever the resolved runtime installed) —
-/// at V=1M the `W × Z` word-topic plane is the model's dominant
-/// allocation, so this records what a fit actually costs in memory.
-/// Both backends hold 4 bytes per slot, so the footprint does not
-/// depend on the runtime.
+/// Resident bytes of the three count planes — at V=1M the `W × Z`
+/// word-topic plane is the model's dominant allocation, so this records
+/// what a fit actually costs in memory. Every plane holds 4 bytes per
+/// slot, so the footprint does not depend on the runtime.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PlaneFootprint {
     /// `n_uc` plane + `n_u` marginal bytes.
@@ -54,10 +51,8 @@ pub struct FitDiagnostics {
     /// Wall-clock seconds of each E-step (Gibbs sweeps + PG passes) —
     /// the quantity Fig. 10(a) plots per iteration.
     pub estep_seconds: Vec<f64>,
-    /// Wall-clock seconds estimating `η` per M-step (link aggregation;
-    /// sharded over the worker pool when one exists). Under
-    /// `overlap_mstep` the measured interval overlaps the next E-step's
-    /// first sweep, so these seconds are off the critical path.
+    /// Wall-clock seconds estimating `η` per M-step (link aggregation,
+    /// on the coordinator).
     pub mstep_eta_seconds: Vec<f64>,
     /// Wall-clock seconds per M-step assembling the `ν` training set
     /// and fitting `ν` (gradient passes sharded over the pool).
@@ -75,11 +70,6 @@ pub struct FitDiagnostics {
     /// so [`FoldBreakdown::max`] lower-bounds the barrier critical
     /// path.
     pub fold_seconds: Vec<FoldBreakdown>,
-    /// Per-plane atomic read-modify-writes published to the shared
-    /// count planes (`n_zw`, `n_cz`, `n_uc`), one entry per sharded
-    /// sweep (all zero unless the runtime is `LockFreeCounts`) — the
-    /// contention measure for the lock-free count planes.
-    pub atomic_ops: Vec<AtomicOpsBreakdown>,
     /// Slowest worker's replica-sync seconds (applying the other
     /// shards' deltas + refreshing the Pólya-Gamma vectors), one entry
     /// per sharded document sweep.
@@ -89,12 +79,9 @@ pub struct FitDiagnostics {
     pub changed_docs: Vec<usize>,
     /// Threads used (1 = serial).
     pub threads: usize,
-    /// The concrete parallel runtime the fit executed under —
-    /// [`ParallelRuntime::Auto`] resolves to one of the others via
-    /// `choose_runtime` before any worker spawns.
+    /// The parallel runtime the fit was configured with.
     pub runtime: ParallelRuntime,
-    /// Resident bytes of the three count planes under the resolved
-    /// runtime (4 bytes per slot on either backend).
+    /// Resident bytes of the three count planes (4 bytes per slot).
     pub plane_bytes: PlaneFootprint,
     /// Sampler accounting per document sweep (merged across workers):
     /// alias-table rebuild seconds, MH proposal/accept tallies, and
@@ -135,8 +122,6 @@ struct FitMetrics {
     sweeps: Counter,
     /// `cpd_fit_changed_docs_total`.
     changed_docs: Counter,
-    /// `cpd_fit_plane_rmw_total{plane=word_topic|comm_topic|user_comm}`.
-    rmw: [Counter; 3],
     mh_proposals: Counter,
     mh_accepts: Counter,
     /// `cpd_fit_em_iteration` — completed outer EM iterations.
@@ -152,7 +137,6 @@ impl FitMetrics {
                 &[("span", kind)],
             )
         };
-        let rmw_help = "Atomic RMWs published to the shared count planes";
         FitMetrics {
             sweep_span: span("sweep"),
             estep_span: span("estep"),
@@ -168,23 +152,6 @@ impl FitMetrics {
                 "Documents whose assignment changed, summed over sweeps",
                 &[],
             ),
-            rmw: [
-                r.counter(
-                    "cpd_fit_plane_rmw_total",
-                    rmw_help,
-                    &[("plane", "word_topic")],
-                ),
-                r.counter(
-                    "cpd_fit_plane_rmw_total",
-                    rmw_help,
-                    &[("plane", "comm_topic")],
-                ),
-                r.counter(
-                    "cpd_fit_plane_rmw_total",
-                    rmw_help,
-                    &[("plane", "user_comm")],
-                ),
-            ],
             mh_proposals: r.counter(
                 "cpd_fit_mh_proposals_total",
                 "Metropolis-Hastings topic proposals made (AliasMh sampler)",
@@ -215,8 +182,7 @@ impl FitMetrics {
 
 /// Push one pooled sweep's barrier stats into both views: the
 /// [`FitDiagnostics`] vectors (post-hoc) and, when attached, the live
-/// registry metrics. Shared by the plain sweep path and the
-/// overlapped-M-step path, which previously duplicated the pushes.
+/// registry metrics.
 fn record_pool_sweep(
     diagnostics: &mut FitDiagnostics,
     metrics: Option<&FitMetrics>,
@@ -225,9 +191,6 @@ fn record_pool_sweep(
     if let Some(m) = metrics {
         m.fold_span.record_secs(stats.merge_seconds);
         m.changed_docs.add(stats.changed_docs as u64);
-        m.rmw[0].add(stats.atomic_ops.word_topic);
-        m.rmw[1].add(stats.atomic_ops.comm_topic);
-        m.rmw[2].add(stats.atomic_ops.user_comm);
         m.record_sampler(&stats.sampler);
     }
     diagnostics.last_thread_seconds = stats.thread_seconds;
@@ -235,7 +198,6 @@ fn record_pool_sweep(
     diagnostics.snapshot_seconds.push(stats.snapshot_seconds);
     diagnostics.changed_docs.push(stats.changed_docs);
     diagnostics.fold_seconds.push(stats.fold);
-    diagnostics.atomic_ops.push(stats.atomic_ops);
     diagnostics.sampler_stats.push(stats.sampler);
 }
 
@@ -308,8 +270,8 @@ impl Cpd {
     }
 
     /// Attach a metric registry: every [`fit`](Cpd::fit) then streams
-    /// per-sweep spans (`cpd_fit_span_seconds`), plane-RMW/sweep
-    /// counters, and an EM-iteration gauge into it live. Without a
+    /// per-sweep spans (`cpd_fit_span_seconds`), sweep counters, and an
+    /// EM-iteration gauge into it live. Without a
     /// registry the trainer runs the exact pre-telemetry
     /// instructions; with one, recording happens at sweep/barrier
     /// granularity only, so the per-token hot path is untouched.
@@ -343,9 +305,7 @@ impl Cpd {
 
     /// Fit the model on `graph` (Alg. 1).
     ///
-    /// The default [`ParallelRuntime::Auto`] is resolved to a concrete
-    /// runtime up front by [`choose_runtime`] (recorded in
-    /// [`FitDiagnostics::runtime`]). With `threads > 1` under
+    /// With `threads > 1` under the default
     /// [`ParallelRuntime::DeltaSharded`], the E-step workers are spawned
     /// once here and live for the whole fit, exchanging sparse
     /// `CountDelta`s with the coordinator every sweep (see
@@ -363,16 +323,9 @@ impl Cpd {
 
         let threads = cfg.threads.unwrap_or(1).max(1);
         let all_users: Vec<u32> = (0..graph.n_users() as u32).collect();
-        // Resolve `Auto` to a concrete runtime up front so every later
-        // branch (pool spawn, sharding decision, diagnostics) agrees.
-        let runtime = choose_runtime(graph, cfg);
-        // The lock-free runtime exercises the sharded pool whenever a
-        // thread count is given, including `Some(1)`; the draw-identical
-        // runtimes fall back to the serial sweep at one thread.
-        let sharded =
-            cfg.threads.is_some() && (threads > 1 || runtime == ParallelRuntime::LockFreeCounts);
+        let runtime = cfg.parallel_runtime;
         // Segment + allocate once up front (Sect. 4.3); reused every sweep.
-        let user_groups: Option<Vec<Vec<u32>>> = if sharded {
+        let user_groups: Option<Vec<Vec<u32>>> = if threads > 1 {
             let seg: Segmentation = segment_users(
                 graph,
                 cfg.n_topics.max(threads),
@@ -433,20 +386,9 @@ impl Cpd {
             // each worker cloning the freshly initialised state exactly
             // once.
             let mut pool: Option<WorkerPool<'_>> = match (&user_groups, runtime) {
-                (Some(groups), ParallelRuntime::DeltaSharded | ParallelRuntime::LockFreeCounts) => {
-                    if runtime == ParallelRuntime::LockFreeCounts {
-                        // Lift every count pair onto shared atomic planes
-                        // before the workers clone the state, so each
-                        // replica aliases one plane set and the delta logs
-                        // shrink to assignments + `n_tz`.
-                        state.user_comm = state.user_comm.to_shared();
-                        state.comm_topic = state.comm_topic.to_shared();
-                        state.word_topic = state.word_topic.to_shared();
-                    }
-                    Some(WorkerPool::spawn(
-                        scope, graph, cfg, &features, &links, &tables, groups, &state,
-                    ))
-                }
+                (Some(groups), ParallelRuntime::DeltaSharded) => Some(WorkerPool::spawn(
+                    scope, graph, cfg, &features, &links, &tables, groups, &state,
+                )),
                 _ => None,
             };
             diagnostics.plane_bytes = PlaneFootprint {
@@ -556,92 +498,22 @@ impl Cpd {
                 TrainingMode::TwoPhase => SweepPhase::ProfileOnly,
             };
 
-            // Overlapped-M-step bookkeeping: when set, the previous
-            // iteration's M-step is still outstanding — it executes on
-            // the coordinator while the workers run the next E-step's
-            // first document sweep, and the fresh η/ν swap in at that
-            // sweep's barrier.
-            let overlap = cfg.overlap_mstep && cfg.gibbs_sweeps > 0;
-            let mut mstep_pending = false;
-
-            for em in 0..cfg.em_iters {
+            for _ in 0..cfg.em_iters {
                 // ---- E-step ----------------------------------------------
                 let e_start = Instant::now();
-                for s in 0..cfg.gibbs_sweeps {
+                for _ in 0..cfg.gibbs_sweeps {
                     sweep_counter += 1;
-                    if s == 0 && mstep_pending {
-                        let sweep_start = Instant::now();
-                        let pool_ref = pool.as_mut().expect("overlap requires the pool");
-                        // Workers sweep with the previous η/ν (read-only
-                        // sweep inputs) while the coordinator estimates
-                        // the fresh parameters: η from the barrier-exact
-                        // canonical assignments; ν features additionally
-                        // through the count planes, which under shared
-                        // planes may show mid-sweep values (safe but
-                        // approximate, like the sweep's own reads).
-                        let nu_arc = Arc::new(nu.clone());
-                        pool_ref.begin_sweep(&state, doc_phase, sweep_counter, &eta, &nu_arc);
-                        let m_start = Instant::now();
-                        let eta_new = estimate_eta_with(
-                            &state,
-                            &links,
-                            cfg.eta_smoothing,
-                            &mut mscratch.eta_counts,
-                        );
-                        let eta_secs = m_start.elapsed().as_secs_f64();
-                        if let Some(m) = &metrics {
-                            m.mstep_eta_span.record_secs(eta_secs);
-                        }
-                        diagnostics.mstep_eta_seconds.push(eta_secs);
-                        let nu_start = Instant::now();
-                        let mut nu_new = nu.clone();
-                        if cfg.diffusion == DiffusionModel::Full && !links.is_empty() {
-                            let ctx = SweepContext::new(
-                                graph, cfg, &eta_new, &nu_new, &features, &links, &tables,
-                            );
-                            build_nu_training_set_into(
-                                &ctx,
-                                &state,
-                                &cached_x,
-                                &mut rng,
-                                &mscratch.linked,
-                                &mut mscratch.examples,
-                            );
-                            fit_nu(&mscratch.examples, &mut nu_new, cfg);
-                        }
-                        let nu_secs = nu_start.elapsed().as_secs_f64();
-                        if let Some(m) = &metrics {
-                            m.mstep_nu_span.record_secs(nu_secs);
-                        }
-                        diagnostics.mstep_nu_seconds.push(nu_secs);
-                        let stats = pool_ref.finish_sweep(graph, &mut state);
-                        record_pool_sweep(&mut diagnostics, metrics.as_ref(), stats);
-                        if let Some(m) = &metrics {
-                            m.sweeps.inc();
-                            m.sweep_span
-                                .record_secs(sweep_start.elapsed().as_secs_f64());
-                        }
-                        if let Some((t, parent)) = &sweep_trace {
-                            t.record_between("fit_sweep", *parent, sweep_start, Instant::now());
-                        }
-                        // The Arc swap at the barrier: later sweeps and
-                        // this sweep's PG pass see the fresh η/ν.
-                        eta = Arc::new(eta_new);
-                        nu = nu_new;
-                        mstep_pending = false;
-                    } else {
-                        doc_sweep(
-                            doc_phase,
-                            sweep_counter,
-                            &mut pool,
-                            &mut state,
-                            &eta,
-                            &nu,
-                            &mut rng,
-                            &mut scratch,
-                            &mut diagnostics,
-                        );
-                    }
+                    doc_sweep(
+                        doc_phase,
+                        sweep_counter,
+                        &mut pool,
+                        &mut state,
+                        &eta,
+                        &nu,
+                        &mut rng,
+                        &mut scratch,
+                        &mut diagnostics,
+                    );
                     let ctx = SweepContext::new(graph, cfg, &eta, &nu, &features, &links, &tables);
                     if cfg.use_friendship && doc_phase != SweepPhase::ProfileOnly {
                         lambda_pass(
@@ -670,59 +542,49 @@ impl Cpd {
                 diagnostics.estep_seconds.push(e_secs);
 
                 // ---- M-step ----------------------------------------------
-                if overlap && pool.is_some() && em + 1 < cfg.em_iters {
-                    // Deferred: runs on the coordinator, overlapped with
-                    // the next E-step's first sweep.
-                    mstep_pending = true;
-                } else {
-                    let m_start = Instant::now();
-                    // Sharded over the idle pool workers when one
-                    // exists — bit-identical to the serial estimator, so
-                    // `DeltaSharded` stays draw-for-draw equal to the
-                    // `CloneRebuild` oracle.
-                    eta = Arc::new(match pool.as_mut() {
-                        Some(p) => p.estimate_eta(&state, &links, cfg.eta_smoothing),
-                        None => estimate_eta_with(
-                            &state,
-                            &links,
-                            cfg.eta_smoothing,
-                            &mut mscratch.eta_counts,
-                        ),
-                    });
-                    let eta_secs = m_start.elapsed().as_secs_f64();
-                    if let Some(m) = &metrics {
-                        m.mstep_eta_span.record_secs(eta_secs);
-                    }
-                    diagnostics.mstep_eta_seconds.push(eta_secs);
-                    let nu_start = Instant::now();
-                    if cfg.diffusion == DiffusionModel::Full && !links.is_empty() {
-                        {
-                            let ctx = SweepContext::new(
-                                graph, cfg, &eta, &nu, &features, &links, &tables,
-                            );
-                            build_nu_training_set_into(
-                                &ctx,
-                                &state,
-                                &cached_x,
-                                &mut rng,
-                                &mscratch.linked,
-                                &mut mscratch.examples,
-                            );
-                        }
-                        match pool.as_mut() {
-                            Some(p) => {
-                                let examples = std::mem::take(&mut mscratch.examples);
-                                mscratch.examples = p.fit_nu(examples, &mut nu, cfg);
-                            }
-                            None => fit_nu(&mscratch.examples, &mut nu, cfg),
-                        }
-                    }
-                    let nu_secs = nu_start.elapsed().as_secs_f64();
-                    if let Some(m) = &metrics {
-                        m.mstep_nu_span.record_secs(nu_secs);
-                    }
-                    diagnostics.mstep_nu_seconds.push(nu_secs);
+                let m_start = Instant::now();
+                eta = Arc::new(estimate_eta_with(
+                    &state,
+                    &links,
+                    cfg.eta_smoothing,
+                    &mut mscratch.eta_counts,
+                ));
+                let eta_secs = m_start.elapsed().as_secs_f64();
+                if let Some(m) = &metrics {
+                    m.mstep_eta_span.record_secs(eta_secs);
                 }
+                diagnostics.mstep_eta_seconds.push(eta_secs);
+                let nu_start = Instant::now();
+                if cfg.diffusion == DiffusionModel::Full && !links.is_empty() {
+                    {
+                        let ctx =
+                            SweepContext::new(graph, cfg, &eta, &nu, &features, &links, &tables);
+                        build_nu_training_set_into(
+                            &ctx,
+                            &state,
+                            &cached_x,
+                            &mut rng,
+                            &mscratch.linked,
+                            &mut mscratch.examples,
+                        );
+                    }
+                    // The gradient passes run on the idle pool workers
+                    // when there is a pool — bit-identical to the
+                    // serial fit, so `DeltaSharded` stays draw-for-draw
+                    // equal to the `CloneRebuild` oracle.
+                    match pool.as_mut() {
+                        Some(p) => {
+                            let examples = std::mem::take(&mut mscratch.examples);
+                            mscratch.examples = p.fit_nu(examples, &mut nu, cfg);
+                        }
+                        None => fit_nu(&mscratch.examples, &mut nu, cfg),
+                    }
+                }
+                let nu_secs = nu_start.elapsed().as_secs_f64();
+                if let Some(m) = &metrics {
+                    m.mstep_nu_span.record_secs(nu_secs);
+                }
+                diagnostics.mstep_nu_seconds.push(nu_secs);
                 diagnostics.em_iterations += 1;
                 if let Some(m) = &metrics {
                     m.em_iteration.set(diagnostics.em_iterations as f64);

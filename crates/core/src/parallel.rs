@@ -7,19 +7,11 @@
 //! Workers follow the approximate-distributed-Gibbs recipe: each thread
 //! owns a disjoint set of *users* (so a user's documents never split
 //! across threads — the paper's first segmentation guideline) and reads
-//! neighbouring assignments as of the sweep start. Three runtimes
-//! execute the barrier, selectable via
-//! [`crate::config::ParallelRuntime`]:
+//! neighbouring assignments as of the sweep start. Two runtimes execute
+//! the barrier, selectable via [`crate::config::ParallelRuntime`], and
+//! both draw the same values:
 //!
-//! * **`CloneRebuild`** (legacy oracle): every sweep each thread clones
-//!   the full count state, samples its user group, and the merged
-//!   assignments are rebuilt into the canonical state from scratch —
-//!   `O(threads × |state|)` memcpy plus an `O(|D| + tokens)` rebuild
-//!   per sweep. Kept for benchmarking and as the differential-testing
-//!   oracle.
-//!
-//! * **`DeltaSharded`** (the deterministic workhorse, and what `Auto`
-//!   picks for most fits): the persistent `WorkerPool`,
+//! * **`DeltaSharded`** (the default): the persistent `WorkerPool`,
 //!   spawned **once per fit**. Each worker keeps a replica of the
 //!   sampler state, cloned at spawn and kept in sync incrementally:
 //!   every sweep it refreshes from the coordinator's sync package,
@@ -28,99 +20,52 @@
 //!   from the previous sweep's churn ([`CountRefresh::decide`]): a
 //!   sparsely-touched array replays the other shards' logs; a heavily
 //!   churned array ships as one shared snapshot that replicas
-//!   `copy_from_slice`. Draw-for-draw identical to `CloneRebuild`.
+//!   `copy_from_slice`.
 //!
-//! * **`LockFreeCounts`**: like `DeltaSharded`, but the **full plane
-//!   set** — word-topic (`n_zw`/`n_z`), community-topic (`n_cz`/`n_c`)
-//!   and user-community (`n_uc`, with the constant `n_u` marginal) —
-//!   lives on **shared atomic planes** (one packed
-//!   [`crate::counts::AtomicPlane`] per array) that every replica
-//!   aliases. Workers publish count increments directly during the
-//!   sweep with relaxed atomics, so those arrays vanish from the
-//!   `CountDelta` logs, are never folded, and need no replica sync at
-//!   all — the log shrinks to the assignment writes plus the tiny
-//!   `n_tz` entries, and the end-to-end trainer is lock-free in its
-//!   counts. Mid-sweep reads may observe other
-//!   shards' in-flight updates — the standard approximate-Gibbs
-//!   relaxation, so this runtime is *distributionally* equivalent to
-//!   the others (the differential tests in `tests/parallel_lockfree.rs`
-//!   check perplexity and community recovery, not draw identity), while
-//!   the counts are still **exact at every barrier** (atomic
-//!   read-modify-writes lose nothing).
-//!
-//! * **`Auto`** (the config default): not a fourth runtime but a
-//!   per-fit resolution step — [`choose_runtime`] inspects the corpus
-//!   shape and thread count once, before any worker spawns, and picks
-//!   `DeltaSharded` or `LockFreeCounts` (see its docs for the exact
-//!   heuristic and the bench numbers behind it). The resolved choice is
-//!   recorded in `FitDiagnostics::runtime`.
-//!
-//! # Shared planes (`LockFreeCounts`)
-//!
-//! Before the pool spawns, the coordinator lifts the three count pairs
-//! onto packed shared planes with [`crate::counts::PairCounts::to_shared`],
-//! so every worker's replica clone is another handle onto the same
-//! cells. Workers sweep their users in graph order, exactly like the
-//! draw-identical runtimes, and each handle tallies the atomic
-//! read-modify-writes it publishes; the per-sweep totals reach
-//! [`AtomicOpsBreakdown`] and `FitDiagnostics`. The parallelism comes
-//! from the LDA-guided user segmentation and the per-sweep barrier
-//! (Sect. 4.3), not from where the planes live in memory.
+//! * **`CloneRebuild`** (legacy oracle): every sweep each thread clones
+//!   the full count state, samples its user group, and the merged
+//!   assignments are rebuilt into the canonical state from scratch —
+//!   `O(threads × |state|)` memcpy plus an `O(|D| + tokens)` rebuild
+//!   per sweep. Kept for benchmarking and as the differential-testing
+//!   oracle `DeltaSharded` is held to, draw for draw.
 //!
 //! # The barrier fold
 //!
 //! The barrier fold is parallelised: after collecting the sweep deltas
-//! the coordinator ships each canonical count array still tracked in
-//! the logs (moved out of the state, so no copies and no unsafe
-//! aliasing) to an idle **worker thread** as a `FoldTask`; workers
-//! replay all shards' logs for their array, clone the refresh snapshot
-//! for it when [`CountRefresh::decide`] picked the snapshot path, and
-//! send the folded array back. The coordinator's residual work is
-//! channel traffic and re-installing the arrays. Count arrays are the
-//! fold's sharding unit; under `LockFreeCounts` every count pair lives
-//! on a shared plane, so only the assignment replay and `n_tz` reach
-//! the fold at all.
+//! the coordinator ships each canonical count array (moved out of the
+//! state, so no copies and no aliasing) to an idle **worker thread** as
+//! a `FoldTask`; workers replay all shards' logs for their array, clone
+//! the refresh snapshot for it when [`CountRefresh::decide`] picked the
+//! snapshot path, and send the folded array back. The coordinator's
+//! residual work is channel traffic and re-installing the arrays. Count
+//! arrays are the fold's sharding unit.
 //!
 //! `CpdState::rebuild_counts` runs only at initialisation.
 //!
-//! # The parallel M-step
+//! # The M-step
 //!
-//! Between E-steps the same worker pool executes the M-step (the
-//! trainer's last serial resident): `estimate_eta`'s link aggregation
-//! is sharded into per-worker `|C|·|C|·|Z|` count buffers combined by
-//! a tree reduce, and each `fit_nu` gradient-descent iteration shards
-//! its gradient/sigmoid pass over fixed example chunks. Both are
-//! **bit-identical** to the serial estimators at any worker count (see
-//! the `mstep` module docs), which is how `DeltaSharded` stays
-//! draw-for-draw identical to the `CloneRebuild` oracle while its
-//! M-step runs on the pool.
-//!
-//! With [`crate::config::CpdConfig::overlap_mstep`] set, the trainer
-//! instead *overlaps* η/ν estimation with the next E-step's first
-//! document sweep: the coordinator issues the sweep (workers run with
-//! the previous η/ν — they are read-only inputs to the sweep context),
-//! computes the M-step on its own idle thread, and swaps the fresh
-//! parameters in behind an `Arc` at the next barrier
-//! (`WorkerPool::begin_sweep` / `WorkerPool::finish_sweep` expose the
-//! two barrier halves). The η inputs (the assignment vectors) are
-//! coordinator-owned and barrier-exact during the sweep; the ν
-//! negative-example features additionally read `π̂`/`θ̂`, which under
-//! `LockFreeCounts` go through the live shared planes and may observe
-//! mid-sweep counts — safe, but approximate (and non-reproducible),
-//! exactly like the sweep's own reads. Under `DeltaSharded` every
-//! M-step input is dense and coordinator-owned, so the overlapped
-//! pipeline stays fully deterministic.
+//! Between E-steps the coordinator estimates `η` itself: one pass over
+//! the diffusion links into a `|C|·|C|·|Z|` count buffer
+//! ([`crate::mstep::estimate_eta`]), a small share of a fit. The `ν`
+//! fit runs on the pool: each gradient-descent iteration spreads its
+//! gradient/sigmoid pass over the idle workers in fixed example chunks
+//! (`WorkerPool::fit_nu`), and the coordinator folds the chunk
+//! partials in ascending chunk order, so the result is **bit-identical**
+//! to the serial [`crate::mstep::fit_nu`] at any worker count (see the
+//! `mstep` module docs). That pool pass earns its place: a variant
+//! that ran the gradient serially on the coordinator read the
+//! link-heavy benchmark's `core.mstep_nu_s` at 0.36–0.39 s a fit
+//! against 0.24–0.26 s pooled (3 of 3 traced runs, 2-CPU host). `η`
+//! took about 1 ms a fit on the same runs, on the coordinator.
 
 use crate::config::CpdConfig;
-use crate::config::ParallelRuntime;
+use crate::counts::PairCounts;
 use crate::features::{UserFeatures, N_FEATURES};
 use crate::gibbs::{
     resample_delta_range, resample_lambda_range, sweep_user_docs, SamplerStats, SamplerTables,
     SweepContext, SweepPhase, SweepScratch,
 };
-use crate::mstep::{
-    apply_nu_step, eta_counts_range, nu_chunk_grad, tree_reduce_counts, NuExample, NU_GRAD_CHUNK,
-};
+use crate::mstep::{apply_nu_step, nu_chunk_grad, NuExample, NU_GRAD_CHUNK};
 use crate::profiles::Eta;
 use crate::state::{CountDelta, CountRefresh, CpdState, DeltaSizes, LinkMeta, NoDelta, SyncPlan};
 use cpd_prob::rng::child_rng;
@@ -285,53 +230,6 @@ pub fn balance_ratio(groups: &[Vec<usize>], workloads: &[f64]) -> f64 {
     }
 }
 
-/// Resolve [`ParallelRuntime::Auto`] to a concrete runtime from the
-/// corpus shape and thread count; explicit runtime choices pass through
-/// untouched.
-///
-/// The decision follows the committed `BENCH_lockfree_counts.json`
-/// numbers: on the paper-shaped bench corpus (K=50, V=60k) the shared
-/// atomic planes win at 8 threads (137.5 ms vs 195.5 ms per fit) but
-/// lose serially (137.5 ms vs 88.9 ms) — their advantage is skipping
-/// the per-sweep delta fold of the huge dense planes, which only pays
-/// once the planes dwarf the per-sweep token churn. Those numbers come
-/// from a 2-CPU host, where every arm beyond two threads time-slices
-/// the same two cores: the 8-thread gap measures the fold work the
-/// lock-free planes skip, not thread scaling. So `Auto` picks:
-///
-/// * **`DeltaSharded`** when serial (`threads <= 1`) or whenever the
-///   count planes are small relative to the corpus — the delta fold is
-///   cheap there, and the runtime stays draw-for-draw deterministic.
-/// * **`LockFreeCounts`** when multi-threaded *and* the plane slot
-///   count (`Z·W + C·Z + U·C`) is both large in absolute terms
-///   (≥ 2¹⁷ slots) and at least 64× the token count — i.e. folding the
-///   dense planes would move far more memory per sweep than the sweep
-///   itself touches.
-///
-/// The tiny differential-test graphs stay on the deterministic
-/// `DeltaSharded` path under `Auto`; the wide-vocabulary bench corpus
-/// flips to the lock-free planes.
-pub fn choose_runtime(graph: &SocialGraph, config: &CpdConfig) -> ParallelRuntime {
-    match config.parallel_runtime {
-        ParallelRuntime::Auto => {
-            let threads = config.threads.unwrap_or(1).max(1);
-            if threads <= 1 {
-                return ParallelRuntime::DeltaSharded;
-            }
-            let z = config.n_topics;
-            let c = config.n_communities;
-            let plane_slots = z * graph.vocab_size() + c * z + graph.n_users() * c;
-            let tokens = graph.n_tokens();
-            if plane_slots >= 64 * tokens.max(1) && plane_slots >= (1 << 17) {
-                ParallelRuntime::LockFreeCounts
-            } else {
-                ParallelRuntime::DeltaSharded
-            }
-        }
-        explicit => explicit,
-    }
-}
-
 /// Legacy clone-and-rebuild parallel sweep: every sweep each thread
 /// clones the full count state, samples its user group, and the merged
 /// assignments are rebuilt into `state` from scratch. Kept as the
@@ -430,24 +328,12 @@ struct SweepCmd {
 }
 
 /// A coordinator→worker message: run a document sweep, fold a batch of
-/// canonical count arrays at the barrier, or execute one shard of the
-/// M-step (η link aggregation / one ν gradient pass).
+/// canonical count arrays at the barrier, or compute one shard of a ν
+/// gradient pass.
 enum Cmd {
     Sweep(SweepCmd),
     Fold(FoldCmd),
-    EtaShard(EtaCmd),
     NuGrad(NuGradCmd),
-}
-
-/// One worker's shard of the η link aggregation: count links
-/// `[lo, hi)` into `buf` (shipped back and forth so the buffer is
-/// reused across EM iterations instead of reallocated).
-struct EtaCmd {
-    lo: usize,
-    hi: usize,
-    doc_community: Arc<Vec<u32>>,
-    doc_topic: Arc<Vec<u32>>,
-    buf: Vec<f64>,
 }
 
 /// One worker's shard of a ν gradient-descent iteration: the chunk
@@ -468,18 +354,16 @@ struct FoldCmd {
     tasks: Vec<FoldTask>,
 }
 
-/// Which canonical array class a [`FoldTask`] carries. The three count
-/// pairs appear only when their planes are dense — a shared atomic
-/// plane (`LockFreeCounts`) is folded by construction and never ships.
+/// Which canonical array class a [`FoldTask`] carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FoldKind {
     /// `doc_community` + `doc_topic` (assignment replay).
     Assign,
-    /// Dense `n_uc` + the constant `n_u` marginal.
+    /// `n_uc` + the constant `n_u` marginal.
     NUc,
-    /// Dense `n_cz` + the `n_c` marginal.
+    /// `n_cz` + the `n_c` marginal.
     NCz,
-    /// Dense `n_zw` + the `n_z` marginal.
+    /// `n_zw` + the `n_z` marginal.
     WordTopic,
     /// `n_tz`.
     NTz,
@@ -574,17 +458,26 @@ impl FoldTask {
                 fold.assign = self.seconds;
             }
             FoldKind::NUc => {
-                state.user_comm.restore_dense(self.a, self.b);
+                state.user_comm = PairCounts {
+                    main: self.a,
+                    marginal: self.b,
+                };
                 refresh.n_uc = self.snap_a;
                 fold.n_uc = self.seconds;
             }
             FoldKind::NCz => {
-                state.comm_topic.restore_dense(self.a, self.b);
+                state.comm_topic = PairCounts {
+                    main: self.a,
+                    marginal: self.b,
+                };
                 refresh.n_cz = self.snap_a;
                 fold.n_cz = self.seconds;
             }
             FoldKind::WordTopic => {
-                state.word_topic.restore_dense(self.a, self.b);
+                state.word_topic = PairCounts {
+                    main: self.a,
+                    marginal: self.b,
+                };
                 refresh.n_zw = self.snap_a;
                 fold.n_zw = self.seconds;
             }
@@ -597,12 +490,11 @@ impl FoldTask {
     }
 }
 
-/// A worker's reply: the sweep result, the folded arrays, or one
-/// M-step shard's output.
+/// A worker's reply: the sweep result, the folded arrays, or one ν
+/// gradient shard's chunk partials.
 enum Reply {
     Sweep(Box<WorkerReply>),
     Fold(Vec<FoldTask>),
-    Eta(Vec<f64>),
     NuGrad(Vec<[f64; N_FEATURES]>),
 }
 
@@ -611,41 +503,9 @@ struct WorkerReply {
     delta: CountDelta,
     busy_secs: f64,
     sync_secs: f64,
-    /// Atomic read-modify-writes this worker published to the shared
-    /// count planes (all zero for dense planes).
-    atomic_ops: AtomicOpsBreakdown,
     /// This worker's sampler accounting for the sweep (alias rebuilds,
     /// MH acceptance, sparse-row occupancy).
     sampler: SamplerStats,
-}
-
-/// Per-plane atomic read-modify-writes published to the shared count
-/// planes during one sharded sweep (all zero unless the runtime is
-/// `LockFreeCounts`) — the contention measure for the lock-free count
-/// planes, surfaced through `FitDiagnostics::atomic_ops`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AtomicOpsBreakdown {
-    /// RMWs on the `n_zw`/`n_z` plane (two per moved token, plus the
-    /// remove/re-add traffic of unmoved documents).
-    pub word_topic: u64,
-    /// RMWs on the `n_cz`/`n_c` plane.
-    pub comm_topic: u64,
-    /// RMWs on the `n_uc` plane.
-    pub user_comm: u64,
-}
-
-impl AtomicOpsBreakdown {
-    /// Sum across the three planes.
-    pub fn total(&self) -> u64 {
-        self.word_topic + self.comm_topic + self.user_comm
-    }
-
-    /// Element-wise accumulation (totals across a sweep's workers).
-    pub fn accumulate(&mut self, other: AtomicOpsBreakdown) {
-        self.word_topic += other.word_topic;
-        self.comm_topic += other.comm_topic;
-        self.user_comm += other.user_comm;
-    }
 }
 
 /// Per-array worker-side fold seconds of one barrier (surfaced through
@@ -657,12 +517,11 @@ impl AtomicOpsBreakdown {
 pub struct FoldBreakdown {
     /// Assignment replay (`doc_community`/`doc_topic`).
     pub assign: f64,
-    /// `n_uc` fold (0 under `LockFreeCounts` — a shared atomic plane is
-    /// never folded).
+    /// `n_uc` fold.
     pub n_uc: f64,
-    /// `n_cz` + `n_c` fold (0 under `LockFreeCounts`).
+    /// `n_cz` + `n_c` fold.
     pub n_cz: f64,
-    /// Dense `n_zw` + `n_z` fold (0 under `LockFreeCounts`).
+    /// `n_zw` + `n_z` fold.
     pub n_zw: f64,
     /// `n_tz` fold.
     pub n_tz: f64,
@@ -695,8 +554,6 @@ pub(crate) struct SweepStats {
     pub changed_docs: usize,
     /// Per-array worker-side fold seconds.
     pub fold: FoldBreakdown,
-    /// Per-plane atomic RMWs published to the shared planes this sweep.
-    pub atomic_ops: AtomicOpsBreakdown,
     /// Sampler accounting merged across the sweep's workers.
     pub sampler: SamplerStats,
 }
@@ -714,17 +571,12 @@ pub(crate) struct WorkerPool<'scope> {
     pending_replay: SyncPlan,
     /// Snapshots backing `pending_replay`, cloned by the fold workers.
     pending_refresh: Arc<CountRefresh>,
-    /// Reusable per-worker η aggregation buffers (shipped to the
-    /// workers with each [`Cmd::EtaShard`] and returned folded).
-    eta_bufs: Vec<Vec<f64>>,
     handles: Vec<std::thread::ScopedJoinHandle<'scope, ()>>,
 }
 
 impl<'scope> WorkerPool<'scope> {
     /// Spawn one worker per user group. Each worker clones `state` once
-    /// — the only full copy it will ever make. (Under `LockFreeCounts`
-    /// the clone's count pairs are other handles onto the shared
-    /// atomics, not copies.)
+    /// — the only full copy it will ever make.
     #[allow(clippy::too_many_arguments)]
     pub fn spawn<'env: 'scope>(
         scope: &'scope std::thread::Scope<'scope, 'env>,
@@ -787,11 +639,6 @@ impl<'scope> WorkerPool<'scope> {
                                 delta,
                                 busy_secs,
                                 sync_secs,
-                                atomic_ops: AtomicOpsBreakdown {
-                                    word_topic: local.word_topic.take_ops(),
-                                    comm_topic: local.comm_topic.take_ops(),
-                                    user_comm: local.user_comm.take_ops(),
-                                },
                                 sampler: scratch.take_stats(),
                             }))
                         }
@@ -800,18 +647,6 @@ impl<'scope> WorkerPool<'scope> {
                                 task.run(&fold.deltas);
                             }
                             Reply::Fold(fold.tasks)
-                        }
-                        Cmd::EtaShard(cmd) => {
-                            let mut buf = cmd.buf;
-                            eta_counts_range(
-                                &cmd.doc_community,
-                                &cmd.doc_topic,
-                                &links[cmd.lo..cmd.hi],
-                                config.n_communities,
-                                config.n_topics,
-                                &mut buf,
-                            );
-                            Reply::Eta(buf)
                         }
                         Cmd::NuGrad(cmd) => {
                             let mut grads = Vec::with_capacity(cmd.chunk_hi - cmd.chunk_lo);
@@ -837,7 +672,6 @@ impl<'scope> WorkerPool<'scope> {
             prev: Arc::new(Vec::new()),
             pending_replay: SyncPlan::ALL,
             pending_refresh: Arc::new(CountRefresh::default()),
-            eta_bufs: Vec::new(),
             handles,
         }
     }
@@ -854,26 +688,8 @@ impl<'scope> WorkerPool<'scope> {
         eta: &Arc<Eta>,
         nu: &Arc<Vec<f64>>,
     ) -> SweepStats {
-        self.begin_sweep(state, phase, sweep_index, eta, nu);
-        self.finish_sweep(graph, state)
-    }
-
-    /// First barrier half: broadcast the sweep command (previous-sweep
-    /// sync package, fresh PG vectors, current η/ν) and return while
-    /// the workers sweep. The canonical dense arrays (assignments,
-    /// `n_tz`, dense count pairs) stay untouched until
-    /// [`WorkerPool::finish_sweep`], so the coordinator may read them
-    /// concurrently — that is what the overlapped M-step does. Shared
-    /// atomic planes are the exception: they are live during the
-    /// sweep, so coordinator reads through them see mid-sweep counts.
-    pub fn begin_sweep(
-        &mut self,
-        state: &CpdState,
-        phase: SweepPhase,
-        sweep_index: u64,
-        eta: &Arc<Eta>,
-        nu: &Arc<Vec<f64>>,
-    ) {
+        // Broadcast the sweep command: previous-sweep sync package,
+        // fresh PG vectors, current η/ν.
         let lambda = Arc::new(state.lambda.clone());
         let delta_pg = Arc::new(state.delta.clone());
         for tx in &self.cmd_txs {
@@ -890,18 +706,12 @@ impl<'scope> WorkerPool<'scope> {
             }))
             .expect("worker hung up");
         }
-    }
 
-    /// Second barrier half: collect the workers' sweep deltas and fold
-    /// them into the canonical `state` on the (now idle) worker
-    /// threads, one [`FoldTask`] per dense count array.
-    pub fn finish_sweep(&mut self, graph: &SocialGraph, state: &mut CpdState) -> SweepStats {
         let n_workers = self.cmd_txs.len();
         let mut deltas = Vec::with_capacity(n_workers);
         let mut thread_seconds = Vec::with_capacity(n_workers);
         let mut snapshot_seconds = 0.0f64;
         let mut changed_docs = 0usize;
-        let mut atomic_ops = AtomicOpsBreakdown::default();
         let mut sampler = SamplerStats::default();
         let mut sizes = DeltaSizes::default();
         for rx in &self.reply_rxs {
@@ -911,30 +721,12 @@ impl<'scope> WorkerPool<'scope> {
                     sizes.accumulate(reply.delta.log_sizes());
                     thread_seconds.push(reply.busy_secs);
                     snapshot_seconds = snapshot_seconds.max(reply.sync_secs);
-                    atomic_ops.accumulate(reply.atomic_ops);
                     sampler.merge(&reply.sampler);
                     deltas.push(reply.delta);
                 }
                 _ => unreachable!("non-sweep reply outside a barrier"),
             }
         }
-        // Delta-size diagnostic: a shared plane's increments must have
-        // gone to the plane, never the logs.
-        debug_assert!(
-            !state.word_topic.is_shared() || sizes.n_zw == 0,
-            "shared n_zw plane leaked {} delta entries",
-            sizes.n_zw
-        );
-        debug_assert!(
-            !state.comm_topic.is_shared() || sizes.n_cz == 0,
-            "shared n_cz plane leaked {} delta entries",
-            sizes.n_cz
-        );
-        debug_assert!(
-            !state.user_comm.is_shared() || sizes.n_uc == 0,
-            "shared n_uc plane leaked {} delta entries",
-            sizes.n_uc
-        );
 
         // ---- Barrier fold, on the worker threads --------------------
         let merge_start = Instant::now();
@@ -942,44 +734,40 @@ impl<'scope> WorkerPool<'scope> {
         // Decide the next sweep's replay-vs-snapshot sync per array;
         // the fold workers clone the snapshots for non-replayed arrays.
         let replay = CountRefresh::decide(state, sizes, n_workers);
-        let mut tasks = Vec::with_capacity(5);
-        // Dense planes join the fold (word-topic kept first: the
-        // scheduler below gives the dominant `W × Z` fold a worker of
-        // its own). A shared atomic plane received every increment
-        // during the sweep already and never appears here.
-        if let Some((n_zw, n_z)) = state.word_topic.take_dense() {
-            tasks.push(FoldTask::new(FoldKind::WordTopic, n_zw, n_z, !replay.n_zw));
-        }
-        tasks.push(FoldTask::new(
-            FoldKind::Assign,
-            std::mem::take(&mut state.doc_community),
-            std::mem::take(&mut state.doc_topic),
-            !replay.assign,
-        ));
-        if let Some((n_uc, n_u)) = state.user_comm.take_dense() {
-            tasks.push(FoldTask::new(FoldKind::NUc, n_uc, n_u, !replay.n_uc));
-        }
-        if let Some((n_cz, n_c)) = state.comm_topic.take_dense() {
-            tasks.push(FoldTask::new(FoldKind::NCz, n_cz, n_c, !replay.n_cz));
-        }
-        tasks.push(FoldTask::new(
-            FoldKind::NTz,
-            std::mem::take(&mut state.n_tz),
-            Vec::new(),
-            !replay.n_tz,
-        ));
+        let pair_task = |kind, pair: &mut PairCounts, want_snapshot| {
+            let PairCounts { main, marginal } = std::mem::take(pair);
+            FoldTask::new(kind, main, marginal, want_snapshot)
+        };
+        // Word-topic first: the scheduler below gives the dominant
+        // `W × Z` fold a worker of its own.
+        let tasks = [
+            pair_task(FoldKind::WordTopic, &mut state.word_topic, !replay.n_zw),
+            FoldTask::new(
+                FoldKind::Assign,
+                std::mem::take(&mut state.doc_community),
+                std::mem::take(&mut state.doc_topic),
+                !replay.assign,
+            ),
+            pair_task(FoldKind::NUc, &mut state.user_comm, !replay.n_uc),
+            pair_task(FoldKind::NCz, &mut state.comm_topic, !replay.n_cz),
+            FoldTask::new(
+                FoldKind::NTz,
+                std::mem::take(&mut state.n_tz),
+                Vec::new(),
+                !replay.n_tz,
+            ),
+        ];
         // Schedule: the `W × Z` fold dwarfs every other array, so with
         // more than one worker it gets a bucket to itself and the small
         // arrays round-robin over the remaining workers.
         let mut buckets: Vec<Vec<FoldTask>> = (0..n_workers).map(|_| Vec::new()).collect();
-        let mut tasks = tasks.into_iter().peekable();
-        let small_workers: Vec<usize> =
-            if n_workers > 1 && tasks.peek().map(|t| t.kind) == Some(FoldKind::WordTopic) {
-                buckets[0].push(tasks.next().expect("just peeked"));
-                (1..n_workers).collect()
-            } else {
-                (0..n_workers).collect()
-            };
+        let mut tasks = tasks.into_iter();
+        let small_workers: Vec<usize> = if n_workers > 1 {
+            buckets[0].push(tasks.next().expect("the word-topic fold comes first"));
+            (1..n_workers).collect()
+        } else {
+            (0..n_workers).collect()
+        };
         for (i, task) in tasks.enumerate() {
             buckets[small_workers[i % small_workers.len()]].push(task);
         }
@@ -1022,60 +810,8 @@ impl<'scope> WorkerPool<'scope> {
             snapshot_seconds,
             changed_docs,
             fold,
-            atomic_ops,
             sampler,
         }
-    }
-
-    /// Shard `estimate_eta`'s link aggregation over the idle workers:
-    /// each worker counts a contiguous link range into its reusable
-    /// `|C|·|C|·|Z|` buffer, and the partials are combined by a tree
-    /// reduce. Counts are integer-valued, so the result is bit-equal to
-    /// the serial [`crate::mstep::estimate_eta`] at any worker count.
-    pub fn estimate_eta(&mut self, state: &CpdState, links: &[LinkMeta], smoothing: f64) -> Eta {
-        let n_workers = self.cmd_txs.len();
-        let c_n = state.n_communities;
-        let z_n = state.n_topics;
-        let mut bufs = std::mem::take(&mut self.eta_bufs);
-        bufs.resize_with(n_workers, Vec::new);
-        let dc = Arc::new(state.doc_community.clone());
-        let dt = Arc::new(state.doc_topic.clone());
-        let chunk = links.len().div_ceil(n_workers).max(1);
-        let mut out: Vec<Vec<f64>> = Vec::with_capacity(n_workers);
-        let mut active: Vec<usize> = Vec::new();
-        for (w, mut buf) in bufs.drain(..).enumerate() {
-            let lo = (w * chunk).min(links.len());
-            let hi = ((w + 1) * chunk).min(links.len());
-            if lo < hi {
-                self.cmd_txs[w]
-                    .send(Cmd::EtaShard(EtaCmd {
-                        lo,
-                        hi,
-                        doc_community: Arc::clone(&dc),
-                        doc_topic: Arc::clone(&dt),
-                        buf,
-                    }))
-                    .expect("worker hung up");
-                active.push(w);
-                out.push(Vec::new()); // placeholder until the reply lands
-            } else {
-                // Idle worker (more workers than link shards): a zeroed
-                // buffer keeps the reduce shape uniform.
-                buf.clear();
-                buf.resize(c_n * c_n * z_n, 0.0);
-                out.push(buf);
-            }
-        }
-        for &w in &active {
-            match self.reply_rxs[w].recv().expect("worker panicked") {
-                Reply::Eta(buf) => out[w] = buf,
-                _ => unreachable!("non-eta reply during the M-step"),
-            }
-        }
-        tree_reduce_counts(&mut out);
-        let eta = Eta::from_counts(c_n, z_n, &out[0], smoothing);
-        self.eta_bufs = out;
-        eta
     }
 
     /// Shard each `fit_nu` gradient-descent iteration over the idle
@@ -1338,6 +1074,131 @@ mod tests {
             }
             pool.shutdown();
         });
+    }
+
+    /// The pool's ν fit is bit-identical to the serial `mstep::fit_nu`
+    /// at every worker count: the chunk partials and their fold order
+    /// are fixed, however the chunks are spread over the workers.
+    #[test]
+    fn pool_nu_fit_is_bit_equal_to_serial() {
+        use crate::features::UserFeatures;
+        use crate::mstep::fit_nu;
+        use crate::state::link_metadata;
+        use cpd_datagen::{generate, GenConfig, Scale};
+        use cpd_prob::rng::seeded_rng;
+        use rand::Rng;
+
+        let (g, _) = generate(&GenConfig::twitter_like(Scale::Tiny));
+        let cfg = CpdConfig {
+            nu_iters: 17,
+            ..CpdConfig::experiment(3, 4)
+        };
+        let features = UserFeatures::compute(&g);
+        let links = link_metadata(&g);
+        let tables = SamplerTables::new(&g, &cfg);
+        let state = CpdState::init(&g, &cfg);
+        // Five full chunks and a partial sixth.
+        let mut rng = seeded_rng(21);
+        let examples: Vec<NuExample> = (0..NU_GRAD_CHUNK * 5 + 137)
+            .map(|i| {
+                let mut x = [0.0; N_FEATURES];
+                for xi in x.iter_mut() {
+                    *xi = rng.gen::<f64>() - 0.5;
+                }
+                x[0] = 1.0;
+                NuExample {
+                    x,
+                    label: i % 3 == 0,
+                }
+            })
+            .collect();
+        let mut serial = vec![0.05; N_FEATURES];
+        fit_nu(&examples, &mut serial, &cfg);
+        for workers in 1..=4usize {
+            let groups: Vec<Vec<u32>> = (0..workers)
+                .map(|w| {
+                    (0..g.n_users() as u32)
+                        .filter(|u| *u as usize % workers == w)
+                        .collect()
+                })
+                .collect();
+            std::thread::scope(|scope| {
+                let mut pool =
+                    WorkerPool::spawn(scope, &g, &cfg, &features, &links, &tables, &groups, &state);
+                let mut pooled = vec![0.05; N_FEATURES];
+                let back = pool.fit_nu(examples.clone(), &mut pooled, &cfg);
+                assert_eq!(back.len(), examples.len(), "examples handed back");
+                let bits = |nu: &[f64]| nu.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&pooled), bits(&serial), "{workers} workers diverged");
+                pool.shutdown();
+            });
+        }
+    }
+
+    /// The same oracle on the ν training set the trainer assembles from
+    /// a real state: the observed links' feature vectors as positives
+    /// plus sampled non-linked pairs as negatives.
+    #[test]
+    fn pool_nu_fit_is_bit_equal_to_serial_on_a_real_state() {
+        use crate::features::UserFeatures;
+        use crate::gibbs::diffusion_logit;
+        use crate::mstep::{build_nu_training_set, estimate_eta, fit_nu};
+        use crate::state::link_metadata;
+        use cpd_datagen::{generate, GenConfig, Scale};
+        use cpd_prob::rng::seeded_rng;
+
+        let gen = GenConfig::twitter_like(Scale::Small);
+        let (g, _) = generate(&gen);
+        let cfg = CpdConfig::experiment(gen.n_communities, gen.n_topics);
+        let features = UserFeatures::compute(&g);
+        let links = link_metadata(&g);
+        let tables = SamplerTables::new(&g, &cfg);
+        let state = CpdState::init(&g, &cfg);
+        let eta = estimate_eta(&state, &links, cfg.eta_smoothing);
+        let nu = vec![0.1; N_FEATURES];
+        let ctx = SweepContext::new(&g, &cfg, &eta, &nu, &features, &links, &tables);
+        let mut buf = Vec::new();
+        let positive_x: Vec<[f64; N_FEATURES]> = links
+            .iter()
+            .map(|lm| diffusion_logit(&ctx, &state, lm, &mut buf).1)
+            .collect();
+        let mut rng = seeded_rng(77);
+        let examples = build_nu_training_set(
+            &g,
+            &cfg,
+            &eta,
+            &nu,
+            &features,
+            &links,
+            &state,
+            &positive_x,
+            &mut rng,
+        );
+        assert!(
+            examples.len() > NU_GRAD_CHUNK * 4,
+            "the fit spans five chunks"
+        );
+
+        let mut serial = nu.clone();
+        fit_nu(&examples, &mut serial, &cfg);
+        for workers in [1usize, 2, 4, 8] {
+            let groups: Vec<Vec<u32>> = (0..workers)
+                .map(|w| {
+                    (0..g.n_users() as u32)
+                        .filter(|u| *u as usize % workers == w)
+                        .collect()
+                })
+                .collect();
+            std::thread::scope(|scope| {
+                let mut pool =
+                    WorkerPool::spawn(scope, &g, &cfg, &features, &links, &tables, &groups, &state);
+                let mut pooled = nu.clone();
+                pool.fit_nu(examples.clone(), &mut pooled, &cfg);
+                let bits = |nu: &[f64]| nu.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&pooled), bits(&serial), "{workers} workers diverged");
+                pool.shutdown();
+            });
+        }
     }
 
     /// Deltas recorded by a worker verify against a rebuild from any

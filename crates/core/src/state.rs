@@ -1,8 +1,14 @@
 //! Gibbs-sampler state: latent assignments, count matrices and the
 //! empirical estimators `π̂`, `θ̂`, `φ̂` (Sect. 4.2) derived from them.
+//!
+//! Each count pair is a plain [`PairCounts`] that its replica owns
+//! outright. A sharded worker logs every count mutation of its sweep in
+//! a [`CountDelta`]; the barrier fold replays the logs into the
+//! canonical state, and the next sweep's [`CountRefresh`] brings the
+//! other replicas up to date by replay or by snapshot copy.
 
 use crate::config::CpdConfig;
-use crate::counts::PairCounts;
+use crate::counts::{add_signed, PairCounts};
 use cpd_prob::rng::seeded_rng;
 use rand::Rng;
 use social_graph::{SocialGraph, WordId};
@@ -42,19 +48,15 @@ pub struct CpdState {
     /// Per-document topic assignment `z_ui`.
     pub doc_topic: Vec<u32>,
     /// `U x C` user-community counts `n_uc` plus the constant `n_u`
-    /// (documents per user) marginal, behind the count-plane
-    /// abstraction ([`crate::counts`]): dense per-replica vectors for
-    /// the serial/`CloneRebuild`/`DeltaSharded` runtimes, or one shared
-    /// atomic plane every replica aliases under `LockFreeCounts`.
+    /// (documents per user) marginal.
     pub user_comm: PairCounts,
     /// `C x Z` community-topic counts `n_cz` plus the `n_c` (documents
-    /// per community) marginal, same backend selection as `user_comm`.
+    /// per community) marginal.
     pub comm_topic: PairCounts,
     /// Word-major `W x Z` word-topic counts `n_zw` plus the `n_z`
-    /// marginal, same backend selection as `user_comm`. Word `w`'s `|Z|`
-    /// topic counts are one contiguous run starting at
-    /// [`CpdState::zw_slot`]`(|Z|, w, 0)`, so a token's candidate scan
-    /// reads a single 200-byte stretch at `|Z| = 50`.
+    /// marginal. Word `w`'s `|Z|` topic counts are one contiguous run
+    /// starting at [`CpdState::zw_slot`]`(|Z|, w, 0)`, so a token's
+    /// candidate scan reads a single 200-byte stretch at `|Z| = 50`.
     pub word_topic: PairCounts,
     /// `T x Z` — documents with topic `z` at time `t` (topic popularity).
     pub n_tz: Vec<u32>,
@@ -217,15 +219,8 @@ impl CpdState {
     }
 
     /// Internal consistency check: every count matrix agrees with the
-    /// assignments. Used by tests and debug assertions.
-    ///
-    /// Valid for atomic planes too: the fresh rebuild runs against
-    /// *detached* dense planes (cloned shared planes would alias this
-    /// state's live atomics, and `rebuild_counts` would wipe them), and
-    /// the shared planes are only read, via snapshots — so the check is
-    /// safe to run at a sweep barrier while workers hold live handles.
-    /// A failure names the first divergent slot
-    /// ([`PairCounts::check_against`]).
+    /// assignments. Used by tests and debug assertions. A failure names
+    /// the first divergent slot ([`PairCounts::check_against`]).
     pub fn check_consistency(&self, graph: &SocialGraph) -> Result<(), String> {
         let mut fresh = self.clone();
         fresh.user_comm = PairCounts::dense(self.user_comm.len_main(), graph.n_users());
@@ -241,8 +236,7 @@ impl CpdState {
             ("n_cz", &self.comm_topic, &fresh.comm_topic),
             ("n_zw", &self.word_topic, &fresh.word_topic),
         ] {
-            let (fm, fg) = fresh_pair.snapshot();
-            pair.check_against(name, &fm, &fg)?;
+            pair.check_against(name, &fresh_pair.main, &fresh_pair.marginal)?;
         }
         Ok(())
     }
@@ -291,24 +285,10 @@ impl DeltaSink for NoDelta {
 /// Assignment writes replay in order, so the last write per document
 /// wins — and each document is owned by exactly one worker, so deltas
 /// from disjoint shards never conflict and all increments commute.
-///
-/// When one of the owning state's count pairs lives on a shared atomic
-/// plane (`LockFreeCounts`), workers publish its increments directly
-/// during the sweep, so that pair is dropped from the log entirely
-/// (its `track_*` flag is `false`). With the full plane set shared the
-/// delta shrinks to the assignment writes plus the tiny `n_tz`
-/// entries.
 #[derive(Debug, Clone)]
 pub struct CountDelta {
     n_topics_dim: usize,
     n_communities_dim: usize,
-    /// `false` when `n_zw`/`n_z` live on a shared plane: word-topic
-    /// increments go to the plane, not this log.
-    track_word_topic: bool,
-    /// `false` when `n_cz`/`n_c` live on a shared plane.
-    track_comm_topic: bool,
-    /// `false` when `n_uc` lives on a shared plane.
-    track_user_comm: bool,
     /// `(doc, community, topic)` writes in sweep order.
     assign: Vec<(u32, u32, u32)>,
     /// Distinct documents reassigned (assignment writes for one document
@@ -323,16 +303,11 @@ pub struct CountDelta {
 }
 
 impl CountDelta {
-    /// Empty delta shaped like `state`. A pair's entries are tracked
-    /// only when `state` owns its dense planes; a shared atomic plane
-    /// receives those increments directly.
+    /// Empty delta shaped like `state`.
     pub fn new(state: &CpdState) -> Self {
         Self {
             n_topics_dim: state.n_topics,
             n_communities_dim: state.n_communities,
-            track_word_topic: !state.word_topic.is_shared(),
-            track_comm_topic: !state.comm_topic.is_shared(),
-            track_user_comm: !state.user_comm.is_shared(),
             assign: Vec::new(),
             changed_docs: 0,
             n_uc: Vec::new(),
@@ -342,21 +317,6 @@ impl CountDelta {
             n_c: vec![0; state.n_communities],
             n_z: vec![0; state.n_topics],
         }
-    }
-
-    /// Does this log carry `n_zw`/`n_z` entries?
-    pub fn tracks_word_topic(&self) -> bool {
-        self.track_word_topic
-    }
-
-    /// Does this log carry `n_cz`/`n_c` entries?
-    pub fn tracks_comm_topic(&self) -> bool {
-        self.track_comm_topic
-    }
-
-    /// Does this log carry `n_uc` entries?
-    pub fn tracks_user_comm(&self) -> bool {
-        self.track_user_comm
     }
 
     /// No recorded changes?
@@ -390,20 +350,16 @@ impl CountDelta {
         z_new: usize,
     ) {
         let z_n = self.n_topics_dim;
-        if self.track_comm_topic {
-            self.n_cz.push(((c * z_n + z_old) as u32, -1));
-            self.n_cz.push(((c * z_n + z_new) as u32, 1));
+        self.n_cz.push(((c * z_n + z_old) as u32, -1));
+        self.n_cz.push(((c * z_n + z_new) as u32, 1));
+        for w in words {
+            self.n_zw
+                .push((CpdState::zw_slot(z_n, w.index(), z_old) as u32, -1));
+            self.n_zw
+                .push((CpdState::zw_slot(z_n, w.index(), z_new) as u32, 1));
         }
-        if self.track_word_topic {
-            for w in words {
-                self.n_zw
-                    .push((CpdState::zw_slot(z_n, w.index(), z_old) as u32, -1));
-                self.n_zw
-                    .push((CpdState::zw_slot(z_n, w.index(), z_new) as u32, 1));
-            }
-            self.n_z[z_old] -= words.len() as i32;
-            self.n_z[z_new] += words.len() as i32;
-        }
+        self.n_z[z_old] -= words.len() as i32;
+        self.n_z[z_new] += words.len() as i32;
         self.n_tz.push(((t * z_n + z_old) as u32, -1));
         self.n_tz.push(((t * z_n + z_new) as u32, 1));
         self.write_assign(d, c, z_new);
@@ -421,16 +377,12 @@ impl CountDelta {
     ) {
         let c_n = self.n_communities_dim;
         let z_n = self.n_topics_dim;
-        if self.track_user_comm {
-            self.n_uc.push(((u * c_n + c_old) as u32, -1));
-            self.n_uc.push(((u * c_n + c_new) as u32, 1));
-        }
-        if self.track_comm_topic {
-            self.n_cz.push(((c_old * z_n + z) as u32, -1));
-            self.n_cz.push(((c_new * z_n + z) as u32, 1));
-            self.n_c[c_old] -= 1;
-            self.n_c[c_new] += 1;
-        }
+        self.n_uc.push(((u * c_n + c_old) as u32, -1));
+        self.n_uc.push(((u * c_n + c_new) as u32, 1));
+        self.n_cz.push(((c_old * z_n + z) as u32, -1));
+        self.n_cz.push(((c_new * z_n + z) as u32, 1));
+        self.n_c[c_old] -= 1;
+        self.n_c[c_new] += 1;
         self.write_assign(d, c_new, z);
     }
 
@@ -449,19 +401,6 @@ impl CountDelta {
     /// Fold `other` into `self` (shards are disjoint in documents, so
     /// assignment writes never conflict and increments simply add).
     pub fn merge(&mut self, other: &CountDelta) {
-        debug_assert_eq!(
-            (
-                self.track_word_topic,
-                self.track_comm_topic,
-                self.track_user_comm
-            ),
-            (
-                other.track_word_topic,
-                other.track_comm_topic,
-                other.track_user_comm
-            ),
-            "cannot merge deltas from different count-plane backends"
-        );
         self.assign.extend_from_slice(&other.assign);
         self.changed_docs += other.changed_docs;
         self.n_uc.extend_from_slice(&other.n_uc);
@@ -484,39 +423,25 @@ impl CountDelta {
     /// Apply only the arrays selected in `plan` (the sharded runtime's
     /// replica sync mixes log replay with wholesale snapshot copies per
     /// array; a copied array must not also be replayed).
-    ///
-    /// A pair's entries replay only into dense planes; a shared atomic
-    /// plane already received its increments during the sweep (and the
-    /// log carries none — see [`CountDelta::new`]).
     pub fn apply_selected(&self, state: &mut CpdState, plan: SyncPlan) {
         if plan.assign {
             self.apply_assign(&mut state.doc_community, &mut state.doc_topic);
         }
         if plan.n_uc {
-            if let Some((n_uc, _)) = state.user_comm.dense_mut() {
-                self.apply_n_uc(n_uc);
-            }
+            self.apply_n_uc(&mut state.user_comm.main);
         }
         if plan.n_cz {
-            if let Some((n_cz, _)) = state.comm_topic.dense_mut() {
-                self.apply_n_cz(n_cz);
-            }
+            self.apply_n_cz(&mut state.comm_topic.main);
         }
         if plan.n_zw {
-            if let Some((n_zw, _)) = state.word_topic.dense_mut() {
-                self.apply_n_zw(n_zw);
-            }
+            self.apply_n_zw(&mut state.word_topic.main);
         }
         if plan.n_tz {
             self.apply_n_tz(&mut state.n_tz);
         }
         if plan.marginals {
-            if let Some((_, n_c)) = state.comm_topic.dense_mut() {
-                self.apply_n_c(n_c);
-            }
-            if let Some((_, n_z)) = state.word_topic.dense_mut() {
-                self.apply_n_z(n_z);
-            }
+            self.apply_n_c(&mut state.comm_topic.marginal);
+            self.apply_n_z(&mut state.word_topic.marginal);
         }
     }
 
@@ -539,8 +464,7 @@ impl CountDelta {
         Self::replay(&self.n_cz, n_cz);
     }
 
-    /// Replay the `n_zw` increments into a bare array (empty log when
-    /// word-topic tracking is off).
+    /// Replay the `n_zw` increments into a bare array.
     pub fn apply_n_zw(&self, n_zw: &mut [u32]) {
         Self::replay(&self.n_zw, n_zw);
     }
@@ -553,28 +477,21 @@ impl CountDelta {
     /// Add the dense `n_c` marginal deltas into a bare array.
     pub fn apply_n_c(&self, n_c: &mut [u32]) {
         for (slot, &v) in n_c.iter_mut().zip(&self.n_c) {
-            Self::add(slot, v);
+            add_signed(slot, v);
         }
     }
 
-    /// Add the dense `n_z` marginal deltas into a bare array (all zero
-    /// when word-topic tracking is off).
+    /// Add the dense `n_z` marginal deltas into a bare array.
     pub fn apply_n_z(&self, n_z: &mut [u32]) {
         for (slot, &v) in n_z.iter_mut().zip(&self.n_z) {
-            Self::add(slot, v);
+            add_signed(slot, v);
         }
-    }
-
-    #[inline]
-    fn add(slot: &mut u32, v: i32) {
-        debug_assert!(*slot as i64 + v as i64 >= 0, "count would go negative");
-        *slot = slot.wrapping_add_signed(v);
     }
 
     #[inline]
     fn replay(log: &[(u32, i32)], arr: &mut [u32]) {
         for &(i, v) in log {
-            Self::add(&mut arr[i as usize], v);
+            add_signed(&mut arr[i as usize], v);
         }
     }
 
@@ -664,12 +581,11 @@ impl SyncPlan {
 pub struct CountRefresh {
     /// Snapshot of `(doc_community, doc_topic)`.
     pub assign: Option<(Vec<u32>, Vec<u32>)>,
-    /// Snapshot of `n_uc` (never shipped when the pair is shared: the
-    /// atomic plane needs no replica sync at all).
+    /// Snapshot of `n_uc`.
     pub n_uc: Option<Vec<u32>>,
-    /// Snapshot of `n_cz` (never shipped when the pair is shared).
+    /// Snapshot of `n_cz`.
     pub n_cz: Option<Vec<u32>>,
-    /// Snapshot of `n_zw` (never shipped when the pair is shared).
+    /// Snapshot of `n_zw`.
     pub n_zw: Option<Vec<u32>>,
     /// Snapshot of `n_tz`.
     pub n_tz: Option<Vec<u32>>,
@@ -690,28 +606,19 @@ impl CountRefresh {
     /// from the previous sweep's total delta volume across the
     /// `n_workers` shards. The snapshots themselves are cloned by the
     /// fold workers (`parallel.rs`), one per non-replayed array.
-    ///
-    /// A shared atomic plane never syncs: its log is empty and every
-    /// replica aliases the canonical plane already.
     pub fn decide(state: &CpdState, totals: DeltaSizes, n_workers: usize) -> SyncPlan {
         // `replay.x == false` means "snapshot shipped, skip the log".
         let mut replay = SyncPlan::ALL;
         if Self::copy_wins(totals.assign, n_workers, state.doc_community.len() * 2) {
             replay.assign = false;
         }
-        if !state.user_comm.is_shared()
-            && Self::copy_wins(totals.n_uc, n_workers, state.user_comm.len_main())
-        {
+        if Self::copy_wins(totals.n_uc, n_workers, state.user_comm.len_main()) {
             replay.n_uc = false;
         }
-        if !state.comm_topic.is_shared()
-            && Self::copy_wins(totals.n_cz, n_workers, state.comm_topic.len_main())
-        {
+        if Self::copy_wins(totals.n_cz, n_workers, state.comm_topic.len_main()) {
             replay.n_cz = false;
         }
-        if !state.word_topic.is_shared()
-            && Self::copy_wins(totals.n_zw, n_workers, state.word_topic.len_main())
-        {
+        if Self::copy_wins(totals.n_zw, n_workers, state.word_topic.len_main()) {
             replay.n_zw = false;
         }
         if Self::copy_wins(totals.n_tz, n_workers, state.n_tz.len()) {
@@ -727,13 +634,13 @@ impl CountRefresh {
             state.doc_topic.copy_from_slice(dt);
         }
         if let Some(a) = &self.n_uc {
-            state.user_comm.copy_main_from(a);
+            state.user_comm.main.copy_from_slice(a);
         }
         if let Some(a) = &self.n_cz {
-            state.comm_topic.copy_main_from(a);
+            state.comm_topic.main.copy_from_slice(a);
         }
         if let Some(a) = &self.n_zw {
-            state.word_topic.copy_main_from(a);
+            state.word_topic.main.copy_from_slice(a);
         }
         if let Some(a) = &self.n_tz {
             state.n_tz.copy_from_slice(a);
@@ -965,70 +872,6 @@ mod tests {
         );
         assert_eq!(via_merge.doc_community, via_seq.doc_community);
         via_merge.check_consistency(&g).unwrap();
-    }
-
-    /// Under a shared atomic word-topic plane the delta drops
-    /// `n_zw`/`n_z` entirely: increments land on the plane during the
-    /// sweep, the log carries only the small arrays, and applying the
-    /// delta syncs everything *except* the plane (which needs no sync).
-    #[test]
-    fn shared_plane_deltas_drop_word_topic_entries() {
-        let g = graph();
-        let mut shared = CpdState::init(&g, &config());
-        shared.word_topic = shared.word_topic.to_shared();
-        let base = shared.clone();
-        let mut delta = CountDelta::new(&shared);
-        assert!(!delta.tracks_word_topic());
-        assert!(delta.tracks_comm_topic() && delta.tracks_user_comm());
-        move_doc(&mut shared, &g, &mut delta, 0, 2, 1);
-        move_doc(&mut shared, &g, &mut delta, 2, 1, 0);
-        let sizes = delta.log_sizes();
-        assert_eq!(sizes.n_zw, 0, "no word-topic log entries");
-        assert!(sizes.n_cz > 0 && sizes.assign > 0);
-        // The plane received the moves directly (base aliases it).
-        assert_eq!(base.word_topic.snapshot(), shared.word_topic.snapshot());
-        // Applying the slim delta to an aliasing replica restores full
-        // consistency — and verifies the atomic plane too.
-        let mut replica = base.clone();
-        delta.apply(&mut replica);
-        replica.check_consistency(&g).unwrap();
-        delta.verify_against_rebuild(&g, &base).unwrap();
-    }
-
-    /// With the full plane set shared (`LockFreeCounts`), the log drops
-    /// `n_uc`/`n_cz`/`n_zw` *and* the dense `n_c`/`n_z` marginals: only
-    /// the assignment writes and the tiny `n_tz` entries remain.
-    #[test]
-    fn full_shared_plane_deltas_carry_only_assignments_and_n_tz() {
-        let g = graph();
-        let mut shared = CpdState::init(&g, &config());
-        shared.user_comm = shared.user_comm.to_shared();
-        shared.comm_topic = shared.comm_topic.to_shared();
-        shared.word_topic = shared.word_topic.to_shared();
-        let base = shared.clone();
-        let mut delta = CountDelta::new(&shared);
-        assert!(!delta.tracks_word_topic());
-        assert!(!delta.tracks_comm_topic());
-        assert!(!delta.tracks_user_comm());
-        move_doc(&mut shared, &g, &mut delta, 0, 2, 1);
-        move_doc(&mut shared, &g, &mut delta, 2, 1, 0);
-        let sizes = delta.log_sizes();
-        assert_eq!(
-            (sizes.n_uc, sizes.n_cz, sizes.n_zw),
-            (0, 0, 0),
-            "no plane log entries under the full shared plane set"
-        );
-        assert!(sizes.assign > 0 && sizes.n_tz > 0);
-        // Every plane received the moves directly (base aliases them).
-        assert_eq!(base.user_comm.snapshot(), shared.user_comm.snapshot());
-        assert_eq!(base.comm_topic.snapshot(), shared.comm_topic.snapshot());
-        assert_eq!(base.word_topic.snapshot(), shared.word_topic.snapshot());
-        // Applying the slim delta to an aliasing replica restores full
-        // consistency — all three atomic planes validate at the barrier.
-        let mut replica = base.clone();
-        delta.apply(&mut replica);
-        replica.check_consistency(&g).unwrap();
-        delta.verify_against_rebuild(&g, &base).unwrap();
     }
 
     #[test]

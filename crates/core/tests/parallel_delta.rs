@@ -60,6 +60,10 @@ fn assert_runtimes_agree(g: &social_graph::SocialGraph, c: usize, z: usize, thre
         delta.diagnostics.merge_seconds.len(),
         delta.diagnostics.snapshot_seconds.len()
     );
+    assert_eq!(
+        delta.diagnostics.fold_seconds.len(),
+        delta.diagnostics.merge_seconds.len()
+    );
 }
 
 #[test]

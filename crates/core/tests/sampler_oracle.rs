@@ -16,8 +16,8 @@
 //!   through a stale alias proposal with Metropolis–Hastings
 //!   correction, so draws differ but the stationary distribution does
 //!   not: community recovery and content perplexity must land in the
-//!   same regime as `Exact` (the tolerances `parallel_lockfree.rs`
-//!   grants approximate-parallel Gibbs).
+//!   same regime as `Exact` (the tolerances `recovery.rs` grants
+//!   approximate-parallel Gibbs).
 
 use cpd_core::{Cpd, CpdConfig, ParallelRuntime, SamplerKind};
 use cpd_datagen::{generate, GenConfig, Scale};
@@ -147,16 +147,15 @@ fn exact_is_draw_identical_to_dense_oracle() {
     }
 }
 
-/// `Auto` resolves to the deterministic `DeltaSharded` runtime on the
-/// tiny differential corpora — same draws as asking for it explicitly —
-/// and the resolution is surfaced in the diagnostics.
+/// The default runtime is `DeltaSharded`: a fit that leaves the runtime
+/// unset reports it in the diagnostics and draws the same as one that
+/// asks for it explicitly.
 #[test]
-fn auto_runtime_is_deterministic_on_tiny_graphs() {
+fn default_runtime_is_delta_sharded() {
     let gen = GenConfig::twitter_like(Scale::Tiny);
     let (g, _) = generate(&gen);
-    let auto = Cpd::new(CpdConfig {
+    let default = Cpd::new(CpdConfig {
         threads: Some(2),
-        parallel_runtime: ParallelRuntime::Auto,
         ..CpdConfig::experiment(gen.n_communities, gen.n_topics)
     })
     .unwrap()
@@ -168,14 +167,14 @@ fn auto_runtime_is_deterministic_on_tiny_graphs() {
     })
     .unwrap()
     .fit(&g);
-    assert_eq!(auto.diagnostics.runtime, ParallelRuntime::DeltaSharded);
+    assert_eq!(default.diagnostics.runtime, ParallelRuntime::DeltaSharded);
     assert_eq!(explicit.diagnostics.runtime, ParallelRuntime::DeltaSharded);
-    assert_eq!(auto.model.doc_community, explicit.model.doc_community);
-    assert_eq!(auto.model.doc_topic, explicit.model.doc_topic);
+    assert_eq!(default.model.doc_community, explicit.model.doc_community);
+    assert_eq!(default.model.doc_topic, explicit.model.doc_topic);
 }
 
-/// Fit NMI against the planted communities and content perplexity (the
-/// `parallel_lockfree.rs` quality probe).
+/// Fit NMI against the planted communities and content perplexity of
+/// the training documents.
 fn quality(
     g: &social_graph::SocialGraph,
     truth: &cpd_datagen::GroundTruth,
