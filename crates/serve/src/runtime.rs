@@ -395,11 +395,23 @@ struct ServeMetrics {
     generation_gauge: Gauge,
     uptime_gauge: Gauge,
     workers_gauge: Gauge,
+    /// `cpd_serve_span_seconds{span=...}` — one observation per
+    /// [`ServeRuntime::reload`] for the snapshot load, and one for the
+    /// index build when the load succeeds.
+    snapshot_load_span: Histogram,
+    index_build_span: Histogram,
 }
 
 impl ServeMetrics {
     fn resolve(registry: Arc<Registry>, max_queue_depth: usize, degraded_window: Duration) -> Self {
         let query_help = "Worker-side query latency by query class";
+        let span = |kind: &str| {
+            registry.histogram(
+                "cpd_serve_span_seconds",
+                "Wall-clock seconds of serving spans, by span kind",
+                &[("span", kind)],
+            )
+        };
         let query_seconds = [
             QueryClass::Ranking,
             QueryClass::TopWords,
@@ -487,6 +499,8 @@ impl ServeMetrics {
                 "Worker threads in the serving pool",
                 &[],
             ),
+            snapshot_load_span: span("snapshot_load"),
+            index_build_span: span("index_build"),
             registry,
         }
     }
@@ -1041,8 +1055,13 @@ impl ServeRuntime {
     /// [`cpd_core::io::save_model`] writes), build a fresh
     /// [`ProfileIndex`] with the live snapshot's configuration, and
     /// [`swap_index`](ServeRuntime::swap_index) it in. The build runs
-    /// on the calling thread — never on the pool — so queries keep
-    /// flowing while the new index is prepared.
+    /// on the calling thread plus scoped helper threads it spawns and
+    /// joins (see [`ProfileIndex`]'s "Build" section) — never on the
+    /// pool — so queries keep flowing while the new index is prepared.
+    /// The load and the build are timed into
+    /// `cpd_serve_span_seconds{span="snapshot_load"|"index_build"}`; a
+    /// load that fails, or a snapshot that is rejected, records no
+    /// `index_build`.
     ///
     /// The snapshot must match the live `(|C|, |Z|)` shape: the
     /// retained config's priors and ablation flags are resolved
@@ -1056,7 +1075,11 @@ impl ServeRuntime {
             hook.hit("serve.reload_build");
         }
         // `load_model` errors already name the snapshot path.
-        let model = cpd_core::io::load_model(path).map_err(|e| format!("reload failed: {e}"))?;
+        let model = self
+            .metrics
+            .snapshot_load_span
+            .time(|| cpd_core::io::load_model(path))
+            .map_err(|e| format!("reload failed: {e}"))?;
         let config = self.handle.load().0.config().clone();
         if model.n_communities() != config.n_communities || model.n_topics() != config.n_topics {
             return Err(format!(
@@ -1069,8 +1092,11 @@ impl ServeRuntime {
                 config.n_topics,
             ));
         }
-        let index = Arc::new(ProfileIndex::build(model, &config));
-        Ok(self.swap_index(index))
+        let index = self
+            .metrics
+            .index_build_span
+            .time(|| ProfileIndex::build(model, &config));
+        Ok(self.swap_index(Arc::new(index)))
     }
 
     /// Worker threads in the pool.
@@ -1411,5 +1437,63 @@ fn execute(
             cache.insert(key, generation, profile.clone());
             QueryResponse::FoldedIn(Box::new(profile))
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cpd_core::{CpdConfig, CpdModel, Eta};
+
+    fn model(c_n: usize, z_n: usize) -> CpdModel {
+        CpdModel {
+            pi: vec![vec![1.0 / c_n as f64; c_n]; 3],
+            theta: vec![vec![1.0 / z_n as f64; z_n]; c_n],
+            phi: vec![vec![0.25; 4]; z_n],
+            eta: Eta::uniform(c_n, z_n),
+            nu: vec![0.1; cpd_core::features::N_FEATURES],
+            topic_popularity: vec![vec![1.0 / z_n as f64; z_n]],
+            doc_community: vec![],
+            doc_topic: vec![],
+        }
+    }
+
+    fn span_count(runtime: &ServeRuntime, span: &str) -> String {
+        let line = format!("cpd_serve_span_seconds_count{{span=\"{span}\"}} ");
+        let text = runtime.prometheus_text();
+        text.lines()
+            .find_map(|l| l.strip_prefix(&line))
+            .unwrap_or_else(|| panic!("no {line:?} series in\n{text}"))
+            .to_string()
+    }
+
+    #[test]
+    fn reload_records_snapshot_load_and_index_build_spans() {
+        let cfg = CpdConfig::new(2, 3);
+        let index = Arc::new(ProfileIndex::build(model(2, 3), &cfg));
+        let runtime = ServeRuntime::new(index, None, ServeOptions::default()).unwrap();
+        assert_eq!(span_count(&runtime, "snapshot_load"), "0");
+        assert_eq!(span_count(&runtime, "index_build"), "0");
+
+        let dir = std::env::temp_dir().join(format!("cpd-serve-spans-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let good = dir.join("good.cpd");
+        cpd_core::io::save_model(&model(2, 3), &good).unwrap();
+        assert_eq!(runtime.reload(&good).unwrap(), 2);
+        assert_eq!(span_count(&runtime, "snapshot_load"), "1");
+        assert_eq!(span_count(&runtime, "index_build"), "1");
+
+        // A load that fails, and a snapshot rejected for its shape, are
+        // timed as loads but build nothing.
+        assert!(runtime.reload(dir.join("missing.cpd")).is_err());
+        let reshaped = dir.join("reshaped.cpd");
+        cpd_core::io::save_model(&model(3, 3), &reshaped).unwrap();
+        assert!(runtime.reload(&reshaped).is_err());
+        assert_eq!(span_count(&runtime, "snapshot_load"), "3");
+        assert_eq!(span_count(&runtime, "index_build"), "1");
+        assert_eq!(runtime.generation(), 2);
+
+        runtime.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
