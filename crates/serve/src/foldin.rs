@@ -44,9 +44,20 @@
 //!   `ln θ_{c,·}`, which depends only on `(d, c_d)`;
 //! * for a single-document item, the whole community conditional
 //!   (friendship terms included): with its only document removed the
-//!   item's counts are all zero, so it depends only on the new topic.
-//!   With several documents the counts move with every draw and the
-//!   community conditional is computed per draw as before.
+//!   item's counts are all zero, so it depends only on the new topic;
+//! * for an item with several documents and friends, each friend's
+//!   Eq. 14 terms `ln max(σ((s_v + π_vc) / (D + |C|ρ)), MIN_POSITIVE)`
+//!   for every community, with `s_v = Σ_c (n_uc + ρ) π_vc`. They read
+//!   no chain state but the item's community counts `n_uc` with the
+//!   current document removed — not the new topic — so they are kept
+//!   per `n_uc` row, `friends × |C|` cells stored friend-major, and
+//!   found again through a flat hash table over the row that a full
+//!   row compare confirms. Each draw then rebuilds
+//!   `ln(n_uc + ρ) + ln θ_{c,z}` and adds the kept terms friend by
+//!   friend. That friendship term is most of a user fold-in's work: it
+//!   costs one `exp` and one `ln` per (friend, community) for each
+//!   distinct `n_uc` state the chain reaches, rather than on every
+//!   draw.
 //!
 //! A kept conditional is stored as the shifted weights and total that
 //! [`prepare_log_weights`] made of it, and each draw scans them with
@@ -55,9 +66,18 @@
 //! same floating-point expression on the same operands as the one it
 //! replaces, and a draw consumes one uniform (or one `gen_range` when
 //! no weight is finite) exactly as the one-shot sampler does, so the
-//! RNG stream, every draw and every profile are unchanged. The memos
-//! are reset per item, so nothing carries over between items sharing
-//! a scratch.
+//! RNG stream, every draw and every profile are unchanged. Kept
+//! friendship terms are added to each weight in the same friend order
+//! as when they were computed in place, so every weight is the same
+//! sequence of additions on the same operands.
+//!
+//! The memos are reset per item, so nothing carries over between items
+//! sharing a scratch, and together they keep at most a fixed number of
+//! `f64` cells per item (a private constant). A state first reached
+//! once that budget is spent is computed into a scratch row and drawn
+//! from without being kept — the same arithmetic, so still bit-exact —
+//! which bounds a scratch's memory by the item's shape rather than by
+//! how many states its chain visits.
 
 use crate::index::ProfileIndex;
 use cpd_core::features::{community_feature, F_ACT_V, F_COMMUNITY, F_POP_V, F_TOPIC_POP};
@@ -258,6 +278,10 @@ pub struct FoldScratch {
     topic_memo: DrawMemo,
     /// A single-document item's community conditional per topic.
     comm_memo: DrawMemo,
+    /// A multi-document item's friendship terms per `n_uc` state.
+    friend_memo: FriendTermMemo,
+    /// `f64` cells the memos may still keep for the current item.
+    memo_cells_left: usize,
     /// User-local community counts `n_uc` (`C`).
     n_uc: Vec<u32>,
     /// Current per-document assignments (`D` each).
@@ -276,6 +300,12 @@ impl FoldScratch {
     }
 }
 
+/// Most `f64` cells the memos of one item keep between them (256 KiB).
+/// The repository benchmark's user fold-ins (3 documents, 5 friends,
+/// `|C| = |Z| = 50`) need at most 90 × 250 friendship cells plus
+/// 90 × 50 topic cells, so they never reach it.
+const MEMO_BUDGET_CELLS: usize = 1 << 15;
+
 /// One conditional family of a chain, keyed by the small discrete state
 /// it depends on: a key's log weights are computed and prepared
 /// ([`prepare_log_weights`]) the first time the chain reaches it, and
@@ -290,6 +320,9 @@ struct DrawMemo {
     weights: Vec<f64>,
     /// Per filled row: the total from [`prepare_log_weights`].
     totals: Vec<Option<f64>>,
+    /// A new key's log weights once the budget is spent; empty until
+    /// the item first needs it.
+    spill: Vec<f64>,
     width: usize,
 }
 
@@ -299,21 +332,30 @@ impl DrawMemo {
         refill(&mut self.row_of, keys, 0);
         self.weights.clear();
         self.totals.clear();
+        self.spill.clear();
         self.width = width;
     }
 
     /// Draw from `key`'s conditional, writing its log weights with
-    /// `fill` on the key's first use.
+    /// `fill` on the key's first use. The weights are kept if
+    /// `cells_left` has room for them and drawn from unkept otherwise.
     #[inline]
     fn draw<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
         key: usize,
+        cells_left: &mut usize,
         fill: impl FnOnce(&mut [f64]),
     ) -> usize {
         let width = self.width;
         let row = match self.row_of[key] {
+            0 if *cells_left < width => {
+                self.spill.resize(width, 0.0);
+                fill(&mut self.spill);
+                return sample_log_index_mut(rng, &mut self.spill);
+            }
             0 => {
+                *cells_left -= width;
                 let start = self.weights.len();
                 self.weights.resize(start + width, 0.0);
                 let lw = &mut self.weights[start..];
@@ -330,6 +372,135 @@ impl DrawMemo {
             self.totals[row],
         )
     }
+}
+
+/// Eq. 14's friendship terms of a multi-document item, kept per `n_uc`
+/// state (the item's community counts with the current document
+/// removed): row `r` holds the terms of every friend for every
+/// community, friend-major, for the counts in `keys` row `r`. States
+/// are found through `slots`, an open-addressed table of row indices
+/// hashed from the counts and confirmed by comparing the whole row.
+#[derive(Debug, Default)]
+struct FriendTermMemo {
+    /// Per slot: a row index plus one, or 0 when empty. A power of two
+    /// with more slots than the rows an item can keep, so every probe
+    /// ends at an empty slot.
+    slots: Vec<u32>,
+    /// Kept states' count rows, `c_n` cells each.
+    keys: Vec<u32>,
+    /// Kept terms, `friends · c_n` cells per row.
+    terms: Vec<f64>,
+    /// One friend's terms for a new state once the budget is spent;
+    /// empty until the item first needs it.
+    spill: Vec<f64>,
+    c_n: usize,
+    friends: usize,
+}
+
+impl FriendTermMemo {
+    /// Forget every state, sizing the table for the most rows an item
+    /// can keep: one per community draw, and no more than `cells` hold
+    /// (none for a friendless item).
+    fn reset(&mut self, c_n: usize, friends: usize, draws: usize, cells: usize) {
+        self.c_n = c_n;
+        self.friends = friends;
+        let rows = cells
+            .checked_div(friends * c_n)
+            .map_or(0, |rows| rows.min(draws));
+        refill(&mut self.slots, (2 * rows + 1).next_power_of_two(), 0);
+        self.keys.clear();
+        self.terms.clear();
+        self.spill.clear();
+    }
+
+    /// Add every friend's terms at counts `n_uc` to `lw`, friend by
+    /// friend. `fill(f, out)` writes friend `f`'s terms for every
+    /// community; it runs on the state's first visit, whose terms are
+    /// kept if `cells_left` has room for them.
+    #[inline]
+    fn add_terms(
+        &mut self,
+        n_uc: &[u32],
+        cells_left: &mut usize,
+        lw: &mut [f64],
+        mut fill: impl FnMut(usize, &mut [f64]),
+    ) {
+        let (c_n, row_len) = (self.c_n, self.friends * self.c_n);
+        let mask = self.slots.len() - 1;
+        let mut slot = row_hash(n_uc) as usize & mask;
+        let row = loop {
+            match self.slots[slot] {
+                0 if *cells_left < row_len => {
+                    self.spill.resize(c_n, 0.0);
+                    for f in 0..self.friends {
+                        fill(f, &mut self.spill);
+                        add_row(lw, &self.spill);
+                    }
+                    return;
+                }
+                0 => {
+                    *cells_left -= row_len;
+                    let row = self.keys.len() / c_n;
+                    self.keys.extend_from_slice(n_uc);
+                    self.terms.resize((row + 1) * row_len, 0.0);
+                    for (f, out) in self.terms[row * row_len..]
+                        .chunks_exact_mut(c_n)
+                        .enumerate()
+                    {
+                        fill(f, out);
+                    }
+                    self.slots[slot] = row as u32 + 1;
+                    break row;
+                }
+                kept => {
+                    let row = kept as usize - 1;
+                    if self.keys[row * c_n..(row + 1) * c_n] == *n_uc {
+                        break row;
+                    }
+                }
+            }
+            slot = (slot + 1) & mask;
+        };
+        for terms in self.terms[row * row_len..(row + 1) * row_len].chunks_exact(c_n) {
+            add_row(lw, terms);
+        }
+    }
+}
+
+/// FxHash-style hash of a count row.
+#[inline]
+fn row_hash(row: &[u32]) -> u64 {
+    row.iter().fold(0u64, |h, &n| {
+        (h.rotate_left(5) ^ u64::from(n)).wrapping_mul(0x517c_c1b7_2722_0a95)
+    })
+}
+
+/// `lw[c] += terms[c]` for every community.
+#[inline]
+fn add_row(lw: &mut [f64], terms: &[f64]) {
+    for (lw, &t) in lw.iter_mut().zip(terms) {
+        *lw += t;
+    }
+}
+
+/// Friend `v`'s half of Eq. 14's dot product at counts `n_uc`:
+/// `s_v = Σ_c (n_uc + ρ) π_vc`, summed in community order. A candidate
+/// community `c` adds `π_vc` (the `O(1)` incremental dot product).
+#[inline]
+fn friend_dot(pi_v: &[f64], n_uc: &[u32], rho: f64) -> f64 {
+    let mut s_v = 0.0f64;
+    for (&pv, &n) in pi_v.iter().zip(n_uc) {
+        s_v += (n as f64 + rho) * pv;
+    }
+    s_v
+}
+
+/// Eq. 14's friendship term for one candidate community: the exact
+/// Bernoulli log likelihood `ln σ((s_v + π_vc) / denom_u)`, floored so
+/// an underflowed sigmoid cannot make every weight `-inf`.
+#[inline]
+fn ln_friend_term(s_v: f64, pi_vc: f64, denom_u: f64) -> f64 {
+    sigmoid((s_v + pi_vc) / denom_u).max(f64::MIN_POSITIVE).ln()
 }
 
 /// Reset `buf` to `n` copies of `fill` without shrinking its allocation.
@@ -372,7 +543,14 @@ impl<'a> FoldIn<'a> {
             .iter()
             .enumerate()
             .map(|(i, item)| {
-                self.profile_with_seed_indexed(item, self.config.seed, i as u64, &mut scratch, None)
+                self.profile_with_seed_indexed(
+                    item,
+                    self.config.seed,
+                    i as u64,
+                    &mut scratch,
+                    None,
+                    MEMO_BUDGET_CELLS,
+                )
             })
             .collect()
     }
@@ -385,7 +563,7 @@ impl<'a> FoldIn<'a> {
         seed: u64,
         scratch: &mut FoldScratch,
     ) -> FoldedProfile {
-        self.profile_with_seed_indexed(item, seed, 0, scratch, None)
+        self.profile_with_seed_indexed(item, seed, 0, scratch, None, MEMO_BUDGET_CELLS)
     }
 
     /// [`FoldIn::profile_with_seed`] with span recording: each Gibbs
@@ -399,7 +577,7 @@ impl<'a> FoldIn<'a> {
         scratch: &mut FoldScratch,
         trace: Option<(&ActiveTrace, u64)>,
     ) -> FoldedProfile {
-        self.profile_with_seed_indexed(item, seed, 0, scratch, trace)
+        self.profile_with_seed_indexed(item, seed, 0, scratch, trace, MEMO_BUDGET_CELLS)
     }
 
     /// A user with no documents has no latent `(c, z)` chain to sample,
@@ -450,6 +628,7 @@ impl<'a> FoldIn<'a> {
         index_in_batch: u64,
         scratch: &mut FoldScratch,
         trace: Option<(&ActiveTrace, u64)>,
+        memo_cells: usize,
     ) -> FoldedProfile {
         let idx = self.index;
         let c_n = idx.n_communities();
@@ -508,6 +687,10 @@ impl<'a> FoldIn<'a> {
         // counts are all zero, so its community conditional is a
         // function of the new topic alone.
         scratch.comm_memo.reset(if d_n == 1 { z_n } else { 0 }, c_n);
+        let draws = self.config.sweeps * d_n;
+        let friends = item.friends.len();
+        scratch.friend_memo.reset(c_n, friends, draws, memo_cells);
+        scratch.memo_cells_left = memo_cells;
         let denom_u = d_n as f64 + c_n as f64 * rho;
         let mut samples = 0usize;
         for sweep in 0..self.config.sweeps {
@@ -519,7 +702,9 @@ impl<'a> FoldIn<'a> {
                 // conditional is a function of (d, c_d).
                 let c_cur = scratch.doc_c[d] as usize;
                 let logq = &scratch.doc_logq[d * z_n..(d + 1) * z_n];
-                let z_new = scratch.topic_memo.draw(&mut rng, d * c_n + c_cur, |lw| {
+                let key = d * c_n + c_cur;
+                let cells_left = &mut scratch.memo_cells_left;
+                let z_new = scratch.topic_memo.draw(&mut rng, key, cells_left, |lw| {
                     let theta_row = idx.log_theta_row(c_cur);
                     for ((lw, &lq), &lt) in lw.iter_mut().zip(logq).zip(theta_row) {
                         *lw = lq + lt;
@@ -530,28 +715,39 @@ impl<'a> FoldIn<'a> {
                 // Community resample with the document removed.
                 scratch.n_uc[c_cur] -= 1;
                 let (n_uc, ln_n_rho) = (&scratch.n_uc, &scratch.ln_n_rho);
-                let fill = |lw: &mut [f64]| {
+                let prior = |lw: &mut [f64]| {
                     for (c, lw) in lw.iter_mut().enumerate() {
                         *lw = ln_n_rho[n_uc[c] as usize] + idx.log_theta_row(c)[z_new];
                     }
-                    // Friendship evidence: exact Bernoulli likelihood with
-                    // the O(1)-per-candidate incremental dot product.
-                    for &v in &item.friends {
-                        let pi_v = idx.user_membership(v);
-                        let mut s_v = 0.0f64;
-                        for (c, &pv) in pi_v.iter().enumerate() {
-                            s_v += (n_uc[c] as f64 + rho) * pv;
-                        }
-                        for (c, lw) in lw.iter_mut().enumerate() {
-                            let dot = (s_v + pi_v[c]) / denom_u;
-                            *lw += sigmoid(dot).max(f64::MIN_POSITIVE).ln();
-                        }
-                    }
                 };
                 let c_new = if d_n == 1 {
-                    scratch.comm_memo.draw(&mut rng, z_new, fill)
+                    let cells_left = &mut scratch.memo_cells_left;
+                    scratch.comm_memo.draw(&mut rng, z_new, cells_left, |lw| {
+                        prior(lw);
+                        for &v in &item.friends {
+                            let pi_v = idx.user_membership(v);
+                            let s_v = friend_dot(pi_v, n_uc, rho);
+                            for (lw, &pv) in lw.iter_mut().zip(pi_v) {
+                                *lw += ln_friend_term(s_v, pv, denom_u);
+                            }
+                        }
+                    })
                 } else {
-                    fill(&mut scratch.lw_comm);
+                    prior(&mut scratch.lw_comm);
+                    if !item.friends.is_empty() {
+                        scratch.friend_memo.add_terms(
+                            n_uc,
+                            &mut scratch.memo_cells_left,
+                            &mut scratch.lw_comm,
+                            |f, out| {
+                                let pi_v = idx.user_membership(item.friends[f]);
+                                let s_v = friend_dot(pi_v, n_uc, rho);
+                                for (t, &pv) in out.iter_mut().zip(pi_v) {
+                                    *t = ln_friend_term(s_v, pv, denom_u);
+                                }
+                            },
+                        );
+                    }
                     sample_log_index_mut(&mut rng, &mut scratch.lw_comm)
                 };
                 scratch.doc_c[d] = c_new as u32;
@@ -597,5 +793,190 @@ impl<'a> FoldIn<'a> {
             topics,
             doc_topics,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cpd_core::{CpdConfig, CpdModel, Eta};
+    use cpd_prob::dirichlet::sample_symmetric_dirichlet;
+    use cpd_prob::rng::seeded_rng;
+
+    /// `serving_shape_model` of `tests/foldin.rs`, draw for draw:
+    /// `|C| = |Z| = 50` over 400 words and 120 users.
+    fn serving_shape_index() -> ProfileIndex {
+        let (c_n, z_n, v_n, u_n) = (50, 50, 400, 120);
+        let mut rng = seeded_rng(0x5E7E);
+        let mut row = |n: usize, alpha: f64, floor: f64| -> Vec<f64> {
+            sample_symmetric_dirichlet(&mut rng, n, alpha)
+                .into_iter()
+                .map(|p| (1.0 - floor) * p + floor / n as f64)
+                .collect()
+        };
+        let pi = (0..u_n).map(|_| row(c_n, 0.1, 0.05)).collect();
+        let theta = (0..c_n).map(|_| row(z_n, 0.1, 0.05)).collect();
+        let phi = (0..z_n).map(|_| row(v_n, 0.05, 0.1)).collect();
+        let model = CpdModel {
+            pi,
+            theta,
+            phi,
+            eta: Eta::uniform(c_n, z_n),
+            nu: vec![0.1; N_FEATURES],
+            topic_popularity: vec![vec![1.0 / z_n as f64; z_n]],
+            doc_community: vec![],
+            doc_topic: vec![],
+        };
+        ProfileIndex::build(model, &CpdConfig::new(c_n, z_n))
+    }
+
+    /// `fingerprint_items` of `tests/foldin.rs`, draw for draw, with the
+    /// seed that fingerprint uses on the serving shape: docless, one-
+    /// and multi-document items, without and with friends, every fifth
+    /// multi-document item large (12–24 documents of up to 30 words).
+    fn fingerprint_items() -> Vec<(FoldInItem, u64)> {
+        let (v_n, u_n) = (400u32, 120u32);
+        let mut rng = seeded_rng(0xF1A6 ^ u64::from(v_n));
+        (0..300)
+            .map(|i| {
+                let n_docs = match (i % 6) / 2 {
+                    0 => 0,
+                    1 => 1,
+                    _ if i % 5 == 0 => rng.gen_range(12..=24),
+                    _ => rng.gen_range(2..=5),
+                };
+                let max_words = if n_docs > 5 { 30 } else { 12 };
+                let docs = (0..n_docs)
+                    .map(|_| {
+                        let len = rng.gen_range(0..=max_words);
+                        (0..len).map(|_| WordId(rng.gen_range(0..v_n))).collect()
+                    })
+                    .collect();
+                let friends = if i % 2 == 1 {
+                    let k = rng.gen_range(1..=6);
+                    (0..k).map(|_| UserId(rng.gen_range(0..u_n))).collect()
+                } else {
+                    Vec::new()
+                };
+                (FoldInItem::user(docs, friends), rng.gen())
+            })
+            .collect()
+    }
+
+    /// The friendship-term memo on its own, through a table small
+    /// enough that states collide: every draw must add exactly its own
+    /// state's terms, in friend order, whether they are computed and
+    /// kept, found again, or computed past the budget.
+    #[test]
+    fn friend_memo_adds_the_terms_of_the_state_it_is_given() {
+        let (c_n, friends, draws) = (7, 3, 400);
+        // A distinct, full-mantissa value per (friend, state, community).
+        let term = |f: usize, n_uc: &[u32], c: usize| -> f64 {
+            let s: f64 = n_uc.iter().zip(1..).map(|(&n, k)| f64::from(n * k)).sum();
+            ((f * c_n + c + 2) as f64).ln() / (s + 1.5)
+        };
+        let mut rng = seeded_rng(0xF7E3);
+        let mut memo = FriendTermMemo::default();
+        for budget in [0, 10 * friends * c_n, MEMO_BUDGET_CELLS] {
+            memo.reset(c_n, friends, draws, budget);
+            let mut cells_left = budget;
+            let mut states = std::collections::HashSet::new();
+            for _ in 0..draws {
+                // Three documents' communities, so states repeat.
+                let mut n_uc = vec![0u32; c_n];
+                (0..3).for_each(|_| n_uc[rng.gen_range(0..c_n)] += 1);
+                states.insert(n_uc.clone());
+                let base: Vec<f64> = (0..c_n).map(|_| rng.gen::<f64>()).collect();
+                let mut want = base.clone();
+                for f in 0..friends {
+                    for (c, w) in want.iter_mut().enumerate() {
+                        *w += term(f, &n_uc, c);
+                    }
+                }
+                let mut got = base;
+                memo.add_terms(&n_uc, &mut cells_left, &mut got, |f, out| {
+                    for (c, t) in out.iter_mut().enumerate() {
+                        *t = term(f, &n_uc, c);
+                    }
+                });
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "budget {budget}, counts {n_uc:?}");
+            }
+            // The first states reached are kept, as many as fit.
+            let rows = states.len().min(budget / (friends * c_n));
+            assert_eq!(memo.terms.len(), rows * friends * c_n, "budget {budget}");
+        }
+    }
+
+    #[test]
+    fn memos_keep_every_bit_at_any_budget() {
+        let index = serving_shape_index();
+        let engine = FoldIn::new(&index, FoldInConfig::default()).unwrap();
+        let items = fingerprint_items();
+        let profiles = |budget: usize| -> Vec<FoldedProfile> {
+            let mut scratch = FoldScratch::new();
+            items
+                .iter()
+                .map(|(item, seed)| {
+                    engine.profile_with_seed_indexed(item, *seed, 0, &mut scratch, None, budget)
+                })
+                .collect()
+        };
+        let kept = profiles(MEMO_BUDGET_CELLS);
+        // Nothing kept, and a budget spent part-way through many items.
+        for budget in [0, 4_000] {
+            assert!(
+                profiles(budget) == kept,
+                "budget {budget} changed an answer"
+            );
+        }
+    }
+
+    #[test]
+    fn benchmark_shape_user_fold_ins_stay_under_the_budget() {
+        let index = serving_shape_index();
+        let engine = FoldIn::new(&index, FoldInConfig::default()).unwrap();
+        let mut rng = seeded_rng(0xB5E7);
+        let mut scratch = FoldScratch::new();
+        for _ in 0..100 {
+            let docs = (0..3)
+                .map(|_| (0..8).map(|_| WordId(rng.gen_range(0..400))).collect())
+                .collect();
+            let mut friends = Vec::new();
+            while friends.len() < 5 {
+                let v = UserId(rng.gen_range(0..120));
+                if !friends.contains(&v) {
+                    friends.push(v);
+                }
+            }
+            let item = FoldInItem::user(docs, friends);
+            engine.profile_with_seed(&item, rng.gen(), &mut scratch);
+            // 30 sweeps × 3 draws, each at most one new row of 5 × 50
+            // friendship cells and one of 50 topic cells.
+            let used = MEMO_BUDGET_CELLS - scratch.memo_cells_left;
+            assert!(used <= 90 * (5 * 50 + 50), "{used} cells kept");
+            assert!(scratch.topic_memo.spill.is_empty());
+            assert!(scratch.friend_memo.spill.is_empty());
+        }
+    }
+
+    #[test]
+    fn large_fingerprint_items_spill_both_memos() {
+        let index = serving_shape_index();
+        let engine = FoldIn::new(&index, FoldInConfig::default()).unwrap();
+        let mut scratch = FoldScratch::new();
+        let (mut topic_spills, mut friend_spills) = (0, 0);
+        for (item, seed) in fingerprint_items() {
+            engine.profile_with_seed(&item, seed, &mut scratch);
+            if item.docs.len() >= 12 && !item.friends.is_empty() {
+                topic_spills += usize::from(!scratch.topic_memo.spill.is_empty());
+                friend_spills += usize::from(!scratch.friend_memo.spill.is_empty());
+            }
+        }
+        assert!(
+            topic_spills > 0 && friend_spills > 0,
+            "of the large items with friends, {topic_spills} drew topic conditionals \
+             and {friend_spills} friendship terms past the budget"
+        );
     }
 }

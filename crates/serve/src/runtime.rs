@@ -44,6 +44,7 @@ use crate::cache::{fold_key, CacheStats, FoldCache};
 use crate::foldin::{FoldIn, FoldInConfig, FoldInItem, FoldScratch, FoldedProfile};
 use crate::handle::IndexHandle;
 use crate::index::ProfileIndex;
+use crate::wire::max_fold_in_docs;
 use cpd_core::UserFeatures;
 use cpd_telemetry::{
     ActiveTrace, Counter, Gauge, Histogram, KeepReason, Registry, TraceConfig, Tracer,
@@ -1397,6 +1398,16 @@ fn execute(
             QueryResponse::Score(index.diffusion_score(features, u, v, &words, at))
         }
         QueryRequest::FoldIn { item, seed } => {
+            // An answer carries a `|Z|`-wide row per document; one that
+            // could not be framed is refused before its chain runs.
+            let max_docs = max_fold_in_docs(c_n, z_n);
+            if item.docs.len() > max_docs {
+                return QueryResponse::Error(format!(
+                    "fold-in of {} documents has an answer too large for one response frame \
+                     (at most {max_docs} documents at |C| = {c_n}, |Z| = {z_n})",
+                    item.docs.len()
+                ));
+            }
             if let Some(v) = item.friends.iter().find(|v| v.index() >= u_n) {
                 return QueryResponse::Error(format!(
                     "fold-in friend {} out of range ({u_n} trained users)",
@@ -1465,6 +1476,52 @@ mod tests {
             .find_map(|l| l.strip_prefix(&line))
             .unwrap_or_else(|| panic!("no {line:?} series in\n{text}"))
             .to_string()
+    }
+
+    #[test]
+    fn fold_ins_whose_answer_cannot_be_framed_are_refused_before_the_chain() {
+        // A wide topic space keeps the bound at ~2,000 documents.
+        let (c_n, z_n) = (2, 1000);
+        let index = ProfileIndex::build(model(c_n, z_n), &CpdConfig::new(c_n, z_n));
+        let max_docs = max_fold_in_docs(c_n, z_n);
+        let fold_cfg = FoldInConfig {
+            sweeps: 1,
+            burnin: 0,
+            ..FoldInConfig::default()
+        };
+        let cache = FoldCache::new(1);
+        let mut scratch = FoldScratch::new();
+        let mut fold_in = |d_n: usize| {
+            let request = QueryRequest::FoldIn {
+                item: FoldInItem::user(vec![Vec::new(); d_n], vec![UserId(0)]),
+                seed: 1,
+            };
+            execute(
+                &index,
+                1,
+                None,
+                &fold_cfg,
+                &cache,
+                &mut scratch,
+                request,
+                None,
+            )
+        };
+        match fold_in(max_docs + 1) {
+            QueryResponse::Error(e) => assert!(
+                e.contains(&format!("fold-in of {} documents", max_docs + 1))
+                    && e.contains(&format!("at most {max_docs} documents")),
+                "{e}"
+            ),
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        // Refused before the cache lookup: nothing was counted.
+        assert_eq!(cache.stats().misses, 0);
+        match fold_in(max_docs) {
+            QueryResponse::FoldedIn(p) => assert_eq!(p.doc_topics.len(), max_docs),
+            other => panic!("expected an answer, got {other:?}"),
+        }
+        assert_eq!(cache.stats().misses, 1);
     }
 
     #[test]

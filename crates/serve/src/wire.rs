@@ -423,6 +423,20 @@ fn encode_response_payload(e: &mut Enc, r: &QueryResponse) {
     }
 }
 
+/// Most documents a fold-in answer over `c_n` communities and `z_n`
+/// topics can carry in one response frame. It counts the bytes that
+/// [`encode_response`] writes for a traced [`ResponseFrame::Response`]
+/// holding a [`QueryResponse::FoldedIn`]: the trace field (flag and
+/// id), the variant tag, the membership and topic rows (each a `u32`
+/// length and its `f64`s), the row count, and one `z_n`-wide row per
+/// document. A larger answer would be swapped for a frame-limit error
+/// after its chain had run, so the runtime refuses such items first.
+pub(crate) fn max_fold_in_docs(c_n: usize, z_n: usize) -> usize {
+    let fixed = (1 + 8) + 1 + (4 + 8 * c_n) + (4 + 8 * z_n) + 4;
+    let per_doc = 4 + 8 * z_n;
+    (MAX_FRAME_PAYLOAD as usize).saturating_sub(fixed) / per_doc
+}
+
 fn encode_diagnostics(e: &mut Enc, d: &ServeDiagnostics) {
     e.u64(d.workers as u64);
     e.u64(d.batches);
@@ -1221,6 +1235,36 @@ mod tests {
         // try to allocate and fill 16 MiB + 1.
         let err = read_request(&mut &bytes[..]).unwrap_err();
         assert!(matches!(err, WireError::Oversized { len } if len == MAX_FRAME_PAYLOAD + 1));
+    }
+
+    #[test]
+    fn max_fold_in_docs_is_the_largest_answer_a_response_frame_carries() {
+        let answer = |c_n: usize, z_n: usize, d_n: usize| ResponseFrame::Response {
+            response: QueryResponse::FoldedIn(Box::new(FoldedProfile {
+                membership: vec![0.5; c_n],
+                topics: vec![0.25; z_n],
+                doc_topics: vec![vec![0.125; z_n]; d_n],
+            })),
+            trace_id: Some(u64::MAX),
+        };
+        // The serving shape, and a wide one whose bound is small.
+        for (c_n, z_n) in [(50, 50), (2, 1000)] {
+            let max = max_fold_in_docs(c_n, z_n);
+            let fits = encode_response(&answer(c_n, z_n, max));
+            assert_eq!(
+                fits[3], TAG_RESPONSE,
+                "|C| = {c_n}, |Z| = {z_n}: {max} docs"
+            );
+            assert!(fits.len() - FRAME_HEADER_LEN <= MAX_FRAME_PAYLOAD as usize);
+            let over = encode_response(&answer(c_n, z_n, max + 1));
+            assert_eq!(
+                over[3],
+                TAG_ERROR,
+                "|C| = {c_n}, |Z| = {z_n}: {} docs",
+                max + 1
+            );
+        }
+        assert_eq!(max_fold_in_docs(50, 50), 41_525);
     }
 
     #[test]

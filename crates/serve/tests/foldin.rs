@@ -360,3 +360,48 @@ fn fold_in_reproduces_captured_profiles() {
         );
     }
 }
+
+/// Every bit of 200 answers shaped like the repository benchmark's user
+/// fold-ins — 3 documents of 8 words and 5 distinct friends — on the
+/// serving-shape model, captured before the community draw kept each
+/// friend's terms per community-count state. One scratch serves every
+/// item through `profile_with_seed`, and `profile_batch` replays them
+/// by slot.
+#[test]
+fn benchmark_shape_user_fold_ins_reproduce_captured_profiles() {
+    use rand::Rng;
+    const CAPTURED: (u64, u64) = (0xb7c0_74cd_8c9f_5b11, 0xabea_2f87_3823_3109);
+    let (model, cfg) = serving_shape_model();
+    let (v_n, u_n) = (model.vocab_size() as u32, model.pi.len() as u32);
+    let index = ProfileIndex::build(model, &cfg);
+    let engine = FoldIn::new(&index, FoldInConfig::default()).unwrap();
+    let mut rng = cpd_prob::rng::seeded_rng(0xB5E7);
+    let items: Vec<(FoldInItem, u64)> = (0..200)
+        .map(|_| {
+            let docs = (0..3)
+                .map(|_| (0..8).map(|_| WordId(rng.gen_range(0..v_n))).collect())
+                .collect();
+            let mut friends = Vec::new();
+            while friends.len() < 5 {
+                let v = UserId(rng.gen_range(0..u_n));
+                if !friends.contains(&v) {
+                    friends.push(v);
+                }
+            }
+            (FoldInItem::user(docs, friends), rng.gen())
+        })
+        .collect();
+    let mut scratch = FoldScratch::new();
+    let seeded: Vec<_> = items
+        .iter()
+        .map(|(item, seed)| engine.profile_with_seed(item, *seed, &mut scratch))
+        .collect();
+    let batch: Vec<FoldInItem> = items.into_iter().map(|(item, _)| item).collect();
+    let slotted = engine.profile_batch(&batch);
+    let got = (profile_fingerprint(&seeded), profile_fingerprint(&slotted));
+    assert_eq!(
+        got, CAPTURED,
+        "(per-seed, per-slot) hashes, got ({:#018x}, {:#018x})",
+        got.0, got.1
+    );
+}
