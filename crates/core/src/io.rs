@@ -34,16 +34,29 @@
 //! [`ModelIoError::Format`] (or [`ModelIoError::Io`] when the reader
 //! itself fails), never a panic and never `Ok`:
 //!
-//! * the reader moves payload in bounded chunks and allocates only for
-//!   bytes it has actually read, so no header count sizes an
-//!   allocation, and a matrix of zero-width rows must have no rows, so
-//!   no header can make it loop without reading;
+//! * the reader moves payload in bounded chunks and allocates as the
+//!   bytes arrive (at most twice what it has read, plus a chunk), so no
+//!   header count sizes an allocation, and a matrix of zero-width rows
+//!   must have no rows, so no header can make it loop without reading;
 //! * each checksum step (xor a word, multiply by an odd prime) is a
 //!   bijection, so a changed word — any single flipped bit — always
 //!   changes the sum;
 //! * the loaded model then passes the same semantic checks as ever:
 //!   `η` rows through [`Eta::from_normalised`], the `nu` length,
-//!   matching doc lengths, and every matrix's width and finiteness.
+//!   matching doc lengths, and every matrix's width and finiteness;
+//! * `nu` must be finite too: one NaN cell makes every diffusion score
+//!   NaN, and a diverged fit saves such a `nu` under an intact checksum.
+//!
+//! **One pass.** Summing is the one serial step of a load: each
+//! checksum step waits on the one before it. So the reader walks every
+//! chunk of an `f64` section once, and the loop that takes a word
+//! through the checksum step also decodes it into its row and folds
+//! `is_finite` into a flag for the section; the decode and the check run
+//! in the shadow of the multiply chain instead of as passes of their
+//! own. Dimension words and the `u32` sections are summed, then decoded.
+//! No value is judged before the stored checksum matches, and a flagged
+//! section is rescanned only to report it, so every error keeps its
+//! text and its precedence.
 //!
 //! **One format.** The writer writes only v2 and the reader reads only
 //! v2; a `cpd-model v1` text snapshot, or any other version, gets a
@@ -196,6 +209,7 @@ pub fn read_model<R: Read>(reader: R) -> Result<CpdModel, ModelIoError> {
         inner,
         sum: Fnv64::new(),
         chunk: vec![0; CHUNK_BYTES],
+        non_finite: Vec::new(),
     };
     let pi = r.matrix("pi")?;
     let theta = r.matrix("theta")?;
@@ -205,9 +219,9 @@ pub fn read_model<R: Read>(reader: R) -> Result<CpdModel, ModelIoError> {
         .checked_mul(c_n)
         .and_then(|n| n.checked_mul(z_n))
         .ok_or_else(|| ModelIoError::Format("eta dimensions overflow".into()))?;
-    let eta = r.values(cells, "eta", f64::from_le_bytes)?;
+    let eta = r.float_vec(cells, "eta")?;
     let nu_len = r.dim("nu")?;
-    let nu = r.values(nu_len, "nu", f64::from_le_bytes)?;
+    let nu = r.float_vec(nu_len, "nu")?;
     let topic_popularity = r.matrix("topic_popularity")?;
     let d_n = r.dim("doc_community")?;
     let doc_community = r.values(d_n, "doc_community", u32::from_le_bytes)?;
@@ -239,7 +253,7 @@ pub fn read_model<R: Read>(reader: R) -> Result<CpdModel, ModelIoError> {
         doc_community,
         doc_topic,
     };
-    validate(&model)?;
+    validate(&model, &r.non_finite)?;
     Ok(model)
 }
 
@@ -251,7 +265,10 @@ pub fn load_model(path: impl AsRef<Path>) -> Result<CpdModel, ModelIoError> {
     read_model(file).map_err(|e| e.with_path(path))
 }
 
-fn validate(model: &CpdModel) -> Result<(), ModelIoError> {
+/// The model's shape and values. `non_finite` names the sections that
+/// hold a non-finite value, as the reader found them; a section's rows
+/// are scanned again only when it is named, to report it in row order.
+fn validate(model: &CpdModel, non_finite: &[&str]) -> Result<(), ModelIoError> {
     let c_n = model.n_communities();
     let z_n = model.n_topics();
     if model.eta.n_communities() != c_n || model.eta.n_topics() != z_n {
@@ -259,12 +276,15 @@ fn validate(model: &CpdModel) -> Result<(), ModelIoError> {
             "eta dimensions disagree with theta/phi".into(),
         ));
     }
+    let non_finite_values =
+        |name: &str| ModelIoError::Format(format!("{name} contains non-finite values"));
     for (name, rows, width) in [
         ("pi", &model.pi, c_n),
         ("theta", &model.theta, z_n),
         ("phi", &model.phi, model.vocab_size()),
         ("topic_popularity", &model.topic_popularity, z_n),
     ] {
+        let flagged = non_finite.contains(&name);
         for row in rows.iter() {
             if row.len() != width {
                 return Err(ModelIoError::Format(format!(
@@ -272,12 +292,14 @@ fn validate(model: &CpdModel) -> Result<(), ModelIoError> {
                     row.len()
                 )));
             }
-            if !row.iter().all(|x| x.is_finite()) {
-                return Err(ModelIoError::Format(format!(
-                    "{name} contains non-finite values"
-                )));
+            if flagged && !row.iter().all(|x| x.is_finite()) {
+                return Err(non_finite_values(name));
             }
         }
+    }
+    // A NaN in ν would make every diffusion score NaN.
+    if non_finite.contains(&"nu") {
+        return Err(non_finite_values("nu"));
     }
     Ok(())
 }
@@ -361,6 +383,25 @@ impl Fnv64 {
         self.pending_len = rest.len();
     }
 
+    /// [`Fnv64::update`] over whole words on a word boundary (every
+    /// `f64` section starts on one: in the layout they all precede the
+    /// `u32` sections), fused with decoding each word as an `f64` into
+    /// `out`. Returns whether every decoded value is finite.
+    #[inline]
+    fn update_f64s(&mut self, bytes: &[u8], out: &mut Vec<f64>) -> bool {
+        debug_assert!(self.pending_len == 0 && bytes.len().is_multiple_of(8));
+        let (mut state, mut finite) = (self.state, true);
+        out.extend(bytes.chunks_exact(8).map(|word| {
+            let word = u64::from_le_bytes(word.try_into().expect("an 8-byte chunk"));
+            state = (state ^ word).wrapping_mul(Self::PRIME);
+            let value = f64::from_bits(word);
+            finite &= value.is_finite();
+            value
+        }));
+        self.state = state;
+        finite
+    }
+
     /// The sum so far, a trailing partial word zero-padded.
     fn finish(&self) -> u64 {
         let mut last = *self;
@@ -426,22 +467,33 @@ impl<W: Write> SnapshotWriter<W> {
 }
 
 /// The reading half: every byte after the magic line is summed as it
-/// is read, and nothing is allocated for bytes not yet read.
+/// is read, and allocations grow with the bytes read.
 struct SnapshotReader<R: Read> {
     inner: BufReader<R>,
     sum: Fnv64,
     /// Read buffer of [`CHUNK_BYTES`].
     chunk: Vec<u8>,
+    /// The `f64` sections holding a value that is not finite, noted in
+    /// the loop that sums their words.
+    non_finite: Vec<&'static str>,
 }
 
 impl<R: Read> SnapshotReader<R> {
+    /// Read exactly `len <= CHUNK_BYTES` bytes into the chunk buffer,
+    /// not yet summed.
+    fn read(&mut self, len: usize) -> Result<(), ModelIoError> {
+        self.inner
+            .read_exact(&mut self.chunk[..len])
+            .map_err(|e| match e.kind() {
+                std::io::ErrorKind::UnexpectedEof => end_of_file(),
+                _ => ModelIoError::Io(e),
+            })
+    }
+
     /// Read exactly `len <= CHUNK_BYTES` bytes and sum them.
     fn fill(&mut self, len: usize) -> Result<&[u8], ModelIoError> {
-        let bytes = &mut self.chunk[..len];
-        self.inner.read_exact(bytes).map_err(|e| match e.kind() {
-            std::io::ErrorKind::UnexpectedEof => end_of_file(),
-            _ => ModelIoError::Io(e),
-        })?;
+        self.read(len)?;
+        let bytes = &self.chunk[..len];
         self.sum.update(bytes);
         Ok(bytes)
     }
@@ -482,7 +534,51 @@ impl<R: Read> SnapshotReader<R> {
         Ok(out)
     }
 
-    fn matrix(&mut self, name: &str) -> Result<Vec<Vec<f64>>, ModelIoError> {
+    /// `n` `f64` values in rows of `width` (`n` a multiple of it, and
+    /// `width > 0` when `n > 0`). Each chunk is read once and walked
+    /// once: every word goes through the checksum step, into its row
+    /// and through the finiteness check in the same loop. A row starts
+    /// with room for at most one chunk and grows as its bytes arrive.
+    fn floats(
+        &mut self,
+        n: usize,
+        width: usize,
+        section: &'static str,
+    ) -> Result<Vec<Vec<f64>>, ModelIoError> {
+        debug_assert!(width > 0 || n == 0, "rows of width 0 read no bytes");
+        let mut left = n.checked_mul(8).ok_or_else(|| {
+            ModelIoError::Format(format!("`{section}` holds {n} values: size overflows"))
+        })?;
+        let (mut rows, mut row, mut finite) = (Vec::new(), Vec::new(), true);
+        while left > 0 {
+            let take = left.min(CHUNK_BYTES);
+            self.read(take)?;
+            let mut bytes = &self.chunk[..take];
+            while !bytes.is_empty() {
+                if row.is_empty() {
+                    row.reserve_exact(width.min(CHUNK_BYTES / 8));
+                }
+                let (head, rest) = bytes.split_at(bytes.len().min(8 * (width - row.len())));
+                finite &= self.sum.update_f64s(head, &mut row);
+                bytes = rest;
+                if row.len() == width {
+                    rows.push(std::mem::take(&mut row));
+                }
+            }
+            left -= take;
+        }
+        if !finite {
+            self.non_finite.push(section);
+        }
+        Ok(rows)
+    }
+
+    /// A section of `n` `f64` values in one row.
+    fn float_vec(&mut self, n: usize, section: &'static str) -> Result<Vec<f64>, ModelIoError> {
+        Ok(self.floats(n, n, section)?.pop().unwrap_or_default())
+    }
+
+    fn matrix(&mut self, name: &'static str) -> Result<Vec<Vec<f64>>, ModelIoError> {
         let (n_rows, width) = (self.dim(name)?, self.dim(name)?);
         // Each row must consume bytes, or a damaged row count would
         // loop (and allocate) without reading anything.
@@ -500,16 +596,12 @@ impl<R: Read> SnapshotReader<R> {
                 "`{name}` dimensions {n_rows} x {width} overflow"
             )));
         }
-        let mut rows = Vec::new();
-        for _ in 0..n_rows {
-            rows.push(self.values(width, name, f64::from_le_bytes)?);
-        }
-        Ok(rows)
+        self.floats(n_rows * width, width, name)
     }
 
     /// Check the stored checksum against the bytes read, and that
     /// nothing follows it.
-    fn finish(mut self) -> Result<(), ModelIoError> {
+    fn finish(&mut self) -> Result<(), ModelIoError> {
         let computed = self.sum.finish();
         let stored = self.word()?;
         if stored != computed {
@@ -517,7 +609,7 @@ impl<R: Read> SnapshotReader<R> {
                 "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
             )));
         }
-        if let Some(next) = self.inner.bytes().next() {
+        if let Some(next) = self.inner.by_ref().bytes().next() {
             next?;
             return Err(ModelIoError::Format(
                 "trailing bytes after the checksum".into(),
@@ -912,6 +1004,164 @@ mod tests {
         reseal(&mut nan);
         let msg = format_error(&nan);
         assert!(msg.contains("phi contains non-finite values"), "{msg}");
+    }
+
+    /// A model whose `pi` rows straddle read chunks (8,192 words each)
+    /// and whose `phi` rows are wider than one, holding values with
+    /// full mantissas.
+    fn wide_model() -> CpdModel {
+        let (u_n, c_n, z_n, v_n) = (3_000, 3, 2, 9_000);
+        let value = |i: usize| (i as f64 * 0.618_033_988_749_895).fract();
+        let rows = |n: usize, width: usize, base: usize| -> Vec<Vec<f64>> {
+            (0..n)
+                .map(|r| (0..width).map(|c| value(base + r * width + c)).collect())
+                .collect()
+        };
+        CpdModel {
+            pi: rows(u_n, c_n, 0),
+            theta: rows(c_n, z_n, 1 << 20),
+            phi: rows(z_n, v_n, 2 << 20),
+            eta: Eta::uniform(c_n, z_n),
+            nu: (0..N_FEATURES).map(|i| value(3 << 20 | i) - 0.5).collect(),
+            topic_popularity: rows(4, z_n, 4 << 20),
+            doc_community: vec![2, 0, 1],
+            doc_topic: vec![1, 1, 0],
+        }
+    }
+
+    /// Where value `i` of an `f64` section is stored in `model`'s
+    /// snapshot.
+    fn value_at(model: &CpdModel, section: &str, i: usize) -> usize {
+        let dims = if section == "nu" { 8 } else { 16 };
+        start_of(model, section) + dims + 8 * i
+    }
+
+    #[test]
+    fn rows_that_straddle_read_chunks_load_bit_for_bit() {
+        let model = wide_model();
+        assert!(model.phi[0].len() * 8 > CHUNK_BYTES);
+        assert_ne!(CHUNK_BYTES % (8 * model.pi[0].len()), 0);
+        let loaded = read_model(&snapshot(&model)[..]).unwrap();
+        let bits = |rows: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            rows.iter()
+                .map(|row| row.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(bits(&model.pi), bits(&loaded.pi));
+        assert_eq!(bits(&model.theta), bits(&loaded.theta));
+        assert_eq!(bits(&model.phi), bits(&loaded.phi));
+        assert_eq!(model.eta.as_slice(), loaded.eta.as_slice());
+        assert_eq!(
+            bits(std::slice::from_ref(&model.nu)),
+            bits(std::slice::from_ref(&loaded.nu))
+        );
+        assert_eq!(
+            bits(&model.topic_popularity),
+            bits(&loaded.topic_popularity)
+        );
+        assert_eq!(model.doc_community, loaded.doc_community);
+        assert_eq!(model.doc_topic, loaded.doc_topic);
+    }
+
+    #[test]
+    fn non_finite_cells_are_named_after_the_checksum() {
+        let chunk = CHUNK_BYTES / 8;
+        for model in [fitted_model(), wide_model()] {
+            let clean = snapshot(&model);
+            for (name, rows) in [
+                ("pi", &model.pi),
+                ("theta", &model.theta),
+                ("phi", &model.phi),
+                ("topic_popularity", &model.topic_popularity),
+            ] {
+                let cells = rows.len() * rows[0].len();
+                // The first, a middle and the last cell, and the cells
+                // on either side of the first chunk boundary.
+                let mut at = vec![0, cells / 2, cells - 1, chunk - 1, chunk];
+                at.retain(|&i| i < cells);
+                for (i, value) in at
+                    .into_iter()
+                    .flat_map(|i| [f64::NAN, f64::INFINITY, f64::NEG_INFINITY].map(|v| (i, v)))
+                {
+                    let mut damaged = clean.clone();
+                    put_u64(&mut damaged, value_at(&model, name, i), value.to_bits());
+                    let msg = format_error(&damaged);
+                    assert!(
+                        msg.contains("checksum mismatch"),
+                        "{name}[{i}] = {value}: {msg}"
+                    );
+                    reseal(&mut damaged);
+                    let msg = format_error(&damaged);
+                    assert_eq!(
+                        msg,
+                        format!("{name} contains non-finite values"),
+                        "{name}[{i}] = {value}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rejects_non_finite_nu() {
+        let model = tiny_model();
+        let clean = snapshot(&model);
+        for (i, value) in [(0, f64::NAN), (N_FEATURES - 1, f64::INFINITY)] {
+            let mut damaged = clean.clone();
+            put_u64(&mut damaged, value_at(&model, "nu", i), value.to_bits());
+            assert!(format_error(&damaged).contains("checksum mismatch"));
+            reseal(&mut damaged);
+            assert_eq!(
+                format_error(&damaged),
+                "nu contains non-finite values",
+                "nu[{i}] = {value}"
+            );
+        }
+    }
+
+    /// Serves `bytes` up to `fail_at`, then fails every read.
+    struct FailingReader<'a> {
+        bytes: &'a [u8],
+        at: usize,
+        fail_at: usize,
+    }
+
+    impl Read for FailingReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.at == self.fail_at {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::TimedOut,
+                    "the disk went away",
+                ));
+            }
+            let n = buf.len().min(self.fail_at - self.at);
+            buf[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_reader_error_inside_phi_is_an_io_error() {
+        let model = wide_model();
+        let buf = snapshot(&model);
+        // Mid-word in phi's first chunk, and in its second.
+        for fail_at in [
+            value_at(&model, "phi", 100) + 3,
+            value_at(&model, "phi", 9_000),
+        ] {
+            let reader = FailingReader {
+                bytes: &buf,
+                at: 0,
+                fail_at,
+            };
+            match read_model(reader) {
+                Err(ModelIoError::Io(e)) => {
+                    assert_eq!(e.kind(), std::io::ErrorKind::TimedOut, "at {fail_at}: {e}")
+                }
+                other => panic!("at {fail_at}: expected an io error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -47,6 +47,12 @@ pub fn inverse_gaussian_cdf(x: f64, mu: f64, lambda: f64) -> f64 {
 ///   paired exponentials, accept with `exp(-z^2 x / 2)`;
 /// * otherwise: draw `IG(1/z, 1)` until it lands inside the truncation
 ///   (acceptance probability is large in this regime).
+///
+/// `#[inline]` keeps it inside the Pólya-Gamma draw whose proposals it
+/// makes (one draw per link per pass in a fit): left to the inliner's
+/// heuristics, whether it is inlined there flips with unrelated edits to
+/// the crate that instantiates the sampler.
+#[inline]
 pub fn sample_truncated_inverse_gaussian<R: Rng + ?Sized>(rng: &mut R, z: f64, ceil: f64) -> f64 {
     debug_assert!(ceil > 0.0 && z >= 0.0);
     let mu = if z > 0.0 { 1.0 / z } else { f64::INFINITY };

@@ -405,3 +405,88 @@ fn benchmark_shape_user_fold_ins_reproduce_captured_profiles() {
         got.0, got.1
     );
 }
+
+/// Four communities, a small `ρ` and peaked friend rows: with
+/// `D + |C|ρ` a few documents, the friendship terms' differences
+/// between communities change by a large share of a content term from
+/// one community-count state to the next, so terms taken from the wrong
+/// state flip draws. Content leans only mildly: each community to one
+/// topic, each topic to a quarter of the words.
+fn friendship_heavy_model() -> (CpdModel, CpdConfig) {
+    let (c_n, z_n, v_n, u_n) = (4, 4, 24, 60);
+    let lean = |n: usize, top: usize, high: f64, low: f64| -> Vec<f64> {
+        let row: Vec<f64> = (0..n).map(|i| if i == top { high } else { low }).collect();
+        let total: f64 = row.iter().sum();
+        row.into_iter().map(|x| x / total).collect()
+    };
+    let model = CpdModel {
+        pi: (0..u_n)
+            .map(|u| lean(c_n, u % c_n, 0.9, 0.1 / 3.0))
+            .collect(),
+        theta: (0..c_n).map(|c| lean(z_n, c, 0.4, 0.2)).collect(),
+        phi: (0..z_n)
+            .map(|z| {
+                let row: Vec<f64> = (0..v_n)
+                    .map(|w| if w % z_n == z { 3.0 } else { 1.0 })
+                    .collect();
+                let total: f64 = row.iter().sum();
+                row.into_iter().map(|x| x / total).collect()
+            })
+            .collect(),
+        eta: Eta::uniform(c_n, z_n),
+        nu: vec![0.1; cpd_core::features::N_FEATURES],
+        topic_popularity: vec![vec![1.0 / z_n as f64; z_n]],
+        doc_community: vec![],
+        doc_topic: vec![],
+    };
+    let cfg = CpdConfig {
+        rho: Some(0.2),
+        alpha: Some(0.2),
+        ..CpdConfig::new(c_n, z_n)
+    };
+    (model, cfg)
+}
+
+/// Every bit of 200 user fold-ins of 4–10 documents and 20–60 friends on
+/// [`friendship_heavy_model`], where the friendship terms move the
+/// community draw: friendship terms taken at the wrong community counts
+/// move these hashes, which the serving-shape fingerprints cannot see.
+/// One scratch serves every item through `profile_with_seed`, and
+/// `profile_batch` replays them by slot.
+#[test]
+fn friendship_heavy_fold_ins_reproduce_captured_profiles() {
+    use rand::Rng;
+    const CAPTURED: (u64, u64) = (0xa132_1d30_5a47_ae77, 0x788a_1da2_4e62_49a1);
+    let (model, cfg) = friendship_heavy_model();
+    let (v_n, u_n) = (model.vocab_size() as u32, model.pi.len() as u32);
+    let index = ProfileIndex::build(model, &cfg);
+    let engine = FoldIn::new(&index, FoldInConfig::default()).unwrap();
+    let mut rng = cpd_prob::rng::seeded_rng(0xF12E);
+    let items: Vec<(FoldInItem, u64)> = (0..200)
+        .map(|_| {
+            let docs = (0..rng.gen_range(4..=10))
+                .map(|_| {
+                    let len = rng.gen_range(1..=6);
+                    (0..len).map(|_| WordId(rng.gen_range(0..v_n))).collect()
+                })
+                .collect();
+            let friends = (0..rng.gen_range(20..=60))
+                .map(|_| UserId(rng.gen_range(0..u_n)))
+                .collect();
+            (FoldInItem::user(docs, friends), rng.gen())
+        })
+        .collect();
+    let mut scratch = FoldScratch::new();
+    let seeded: Vec<_> = items
+        .iter()
+        .map(|(item, seed)| engine.profile_with_seed(item, *seed, &mut scratch))
+        .collect();
+    let batch: Vec<FoldInItem> = items.into_iter().map(|(item, _)| item).collect();
+    let slotted = engine.profile_batch(&batch);
+    let got = (profile_fingerprint(&seeded), profile_fingerprint(&slotted));
+    assert_eq!(
+        got, CAPTURED,
+        "(per-seed, per-slot) hashes, got ({:#018x}, {:#018x})",
+        got.0, got.1
+    );
+}
