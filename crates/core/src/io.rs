@@ -35,9 +35,10 @@
 //! itself fails), never a panic and never `Ok`:
 //!
 //! * the reader moves payload in bounded chunks and allocates as the
-//!   bytes arrive (at most twice what it has read, plus a chunk), so no
-//!   header count sizes an allocation, and a matrix of zero-width rows
-//!   must have no rows, so no header can make it loop without reading;
+//!   bytes arrive (at most twice what it has read, and a row never past
+//!   its width), so no header count sizes an allocation, and a matrix of
+//!   zero-width rows must have no rows, so no header can make it loop
+//!   without reading;
 //! * each checksum step (xor a word, multiply by an odd prime) is a
 //!   bijection, so a changed word — any single flipped bit — always
 //!   changes the sum;
@@ -537,8 +538,9 @@ impl<R: Read> SnapshotReader<R> {
     /// `n` `f64` values in rows of `width` (`n` a multiple of it, and
     /// `width > 0` when `n > 0`). Each chunk is read once and walked
     /// once: every word goes through the checksum step, into its row
-    /// and through the finiteness check in the same loop. A row starts
-    /// with room for at most one chunk and grows as its bytes arrive.
+    /// and through the finiteness check in the same loop. A row grows as
+    /// its bytes arrive, doubling but never past its width, so a loaded
+    /// row holds no slack.
     fn floats(
         &mut self,
         n: usize,
@@ -555,10 +557,14 @@ impl<R: Read> SnapshotReader<R> {
             self.read(take)?;
             let mut bytes = &self.chunk[..take];
             while !bytes.is_empty() {
-                if row.is_empty() {
-                    row.reserve_exact(width.min(CHUNK_BYTES / 8));
-                }
                 let (head, rest) = bytes.split_at(bytes.len().min(8 * (width - row.len())));
+                let need = row.len() + head.len() / 8;
+                if need > row.capacity() {
+                    // Double, as `extend` would, but never past the
+                    // width: a full row holds no slack.
+                    let grown = need.max(2 * row.capacity()).min(width);
+                    row.reserve_exact(grown - row.len());
+                }
                 finite &= self.sum.update_f64s(head, &mut row);
                 bytes = rest;
                 if row.len() == width {
@@ -1061,6 +1067,35 @@ mod tests {
         );
         assert_eq!(model.doc_community, loaded.doc_community);
         assert_eq!(model.doc_topic, loaded.doc_topic);
+    }
+
+    #[test]
+    fn rows_load_without_slack() {
+        // `phi` rows of 9,000 values span two chunks and rows of 60,000
+        // (the serving snapshot's vocabulary) eight; 3-wide `pi` rows
+        // straddle every chunk boundary.
+        let mut wider = wide_model();
+        wider.phi = (0..wider.phi.len())
+            .map(|z| {
+                (0..60_000)
+                    .map(|v| ((z * 60_000 + v) as f64 * 0.618_033_988_749_895).fract())
+                    .collect()
+            })
+            .collect();
+        for model in [wide_model(), wider] {
+            let loaded = read_model(&snapshot(&model)[..]).unwrap();
+            for (name, rows) in [
+                ("pi", &loaded.pi),
+                ("theta", &loaded.theta),
+                ("phi", &loaded.phi),
+                ("topic_popularity", &loaded.topic_popularity),
+            ] {
+                for (r, row) in rows.iter().enumerate() {
+                    assert_eq!(row.capacity(), row.len(), "{name}[{r}]");
+                }
+            }
+            assert_eq!(loaded.nu.capacity(), loaded.nu.len(), "nu");
+        }
     }
 
     #[test]

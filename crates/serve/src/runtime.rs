@@ -37,6 +37,23 @@
 //! it in the Prometheus text exposition format, and
 //! [`ServeRuntime::shutdown`] returns the final account.
 //!
+//! # One wakeup per batch
+//!
+//! A batch's jobs answer into one shared answer set: a slot per
+//! request and a countdown of the slots still unanswered, which starts
+//! with one extra count — the submitter's guard — released once the
+//! whole batch is queued. Each answer fills its slot and counts down;
+//! only the answer that reaches zero wakes the submitting thread. A wake
+//! per answer would cost more than the futex: on a 2-core host the
+//! woken connection thread preempts a worker mid-batch, so at
+//! saturation every answer paid a context switch on both sides. Every
+//! job holds a drop guard on its slot, so a job dropped unanswered (a
+//! fault hook that panics kills its worker outside the query's unwind
+//! catch) answers [`QueryResponse::Error`] and still counts down — no
+//! batch waits forever on a lost job. Answers, their slots and order,
+//! admission and deadlines are what they were with a reply message per
+//! query; only the hand-off changed.
+//!
 //! [`submit_batch`]: ServeRuntime::submit_batch
 //! [`swap_index`]: ServeRuntime::swap_index
 
@@ -51,9 +68,9 @@ use cpd_telemetry::{
 };
 use social_graph::{UserId, WordId};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// One typed query against the index.
@@ -615,11 +632,89 @@ impl ServeMetrics {
     }
 }
 
-/// One unit of work: the batch slot, the request, the snapshot the
-/// whole batch resolved to, and where to send the answer (a per-batch
-/// channel, so concurrent batches cannot mix).
-struct Job {
+/// The answers of one batch, shared by its jobs (see "One wakeup per
+/// batch" in the module docs).
+struct BatchAnswers {
+    slots: Mutex<Vec<Option<QueryResponse>>>,
+    /// Slots not yet answered, plus the submitter's guard until it has
+    /// queued the whole batch.
+    unanswered: AtomicUsize,
+    /// Woken once, by whoever takes `unanswered` to zero.
+    submitter: std::thread::Thread,
+}
+
+impl BatchAnswers {
+    /// `n` empty slots of a batch submitted by the calling thread, the
+    /// one the last answer wakes.
+    fn new(n: usize) -> Self {
+        BatchAnswers {
+            slots: Mutex::new((0..n).map(|_| None).collect()),
+            unanswered: AtomicUsize::new(n + 1),
+            submitter: std::thread::current(),
+        }
+    }
+
+    fn slots(&self) -> MutexGuard<'_, Vec<Option<QueryResponse>>> {
+        // Every write under this lock is one slot assignment, so the
+        // slots are whole even if a holder panicked.
+        self.slots
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// Fill `slot` and count it down; the last count wakes the
+    /// submitter.
+    fn answer(&self, slot: usize, response: QueryResponse) {
+        self.slots()[slot] = Some(response);
+        // Release: pairs with the Acquire in `wait`, so the submitter
+        // that reads zero finds every slot filled.
+        if self.unanswered.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.submitter.unpark();
+        }
+    }
+
+    /// Release the submitter's guard, sleep until every slot is
+    /// answered, and take the answers. A spurious or stale unpark only
+    /// costs one more look at the countdown.
+    fn wait(&self) -> Vec<Option<QueryResponse>> {
+        self.unanswered.fetch_sub(1, Ordering::AcqRel);
+        while self.unanswered.load(Ordering::Acquire) != 0 {
+            std::thread::park();
+        }
+        std::mem::take(&mut *self.slots())
+    }
+}
+
+/// A job's claim on its batch slot. Sending consumes it; a claim
+/// dropped unsent — its worker died before answering — answers
+/// [`QueryResponse::Error`], so the batch still completes.
+struct Reply {
+    answers: Arc<BatchAnswers>,
     slot: usize,
+    sent: bool,
+}
+
+impl Reply {
+    fn send(mut self, response: QueryResponse) {
+        self.sent = true;
+        self.answers.answer(self.slot, response);
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        if !self.sent {
+            self.answers.answer(
+                self.slot,
+                QueryResponse::Error("query lost: its worker stopped before answering".into()),
+            );
+        }
+    }
+}
+
+/// One unit of work: the request, the snapshot the whole batch resolved
+/// to, and the claim on the batch slot its answer goes to.
+struct Job {
     request: QueryRequest,
     /// The snapshot this job's batch loaded from the handle — every job
     /// of a batch carries the same `Arc`, so a swap mid-batch cannot
@@ -641,7 +736,7 @@ struct Job {
     /// The wire trace id when the request carried one (sampled or
     /// not) — labels fault-hook hits and tail-sampled traces.
     trace_id: Option<u64>,
-    reply: Sender<(usize, QueryResponse)>,
+    reply: Reply,
 }
 
 /// A named observation/injection point threaded through the runtime's
@@ -654,7 +749,10 @@ struct Job {
 ///
 /// Current points: `"serve.worker_execute"` (before each query
 /// executes) and `"serve.reload_build"` (before a reload builds the
-/// new index).
+/// new index). A hook that panics at `"serve.worker_execute"` kills
+/// its worker (it runs outside the query's unwind catch); the job it
+/// held answers [`QueryResponse::Error`], and the other workers serve
+/// on.
 #[derive(Clone)]
 pub struct FaultHook(FaultHookFn);
 
@@ -853,7 +951,7 @@ impl ServeRuntime {
         let (tx, rx) = channel::<Job>();
         let rx = Arc::new(std::sync::Mutex::new(rx));
         let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
+        for i in 0..workers {
             let rx = Arc::clone(&rx);
             let features = features.clone();
             let metrics = Arc::clone(&metrics);
@@ -861,7 +959,8 @@ impl ServeRuntime {
             let fold_cfg = options.fold_in.clone();
             let fault_hook = options.fault_hook.clone();
             let tracer = Arc::clone(&tracer);
-            handles.push(std::thread::spawn(move || {
+            let worker = std::thread::Builder::new().name(format!("cpd-serve-w{i}"));
+            let spawned = worker.spawn(move || {
                 let mut scratch = FoldScratch::new();
                 loop {
                     // Hold the lock only for the dequeue; workers never
@@ -915,12 +1014,9 @@ impl ServeRuntime {
                                 );
                             }
                         }
-                        let _ = job.reply.send((
-                            job.slot,
-                            QueryResponse::Overloaded {
-                                retry_after_ms: metrics.retry_after_ms(),
-                            },
-                        ));
+                        job.reply.send(QueryResponse::Overloaded {
+                            retry_after_ms: metrics.retry_after_ms(),
+                        });
                         continue;
                     }
                     if let Some(hook) = &fault_hook {
@@ -995,12 +1091,12 @@ impl ServeRuntime {
                             );
                         }
                     }
-                    if job.reply.send((job.slot, response)).is_err() {
-                        // Batch submitter is gone; keep serving others.
-                        continue;
-                    }
+                    job.reply.send(response);
                 }
-            }));
+            });
+            // On failure the workers already spawned see `tx` drop with
+            // this return and exit.
+            handles.push(spawned.map_err(|e| format!("spawning serve worker {i}: {e}"))?);
         }
         Ok(Self {
             handle,
@@ -1146,11 +1242,9 @@ impl ServeRuntime {
     /// items that end badly — shed, deadline drop, error, slow — are
     /// tail-sampled into the runtime's [`ServeRuntime::tracer`] store.
     pub fn submit_batch_items(&self, items: Vec<BatchItem>) -> Vec<QueryResponse> {
-        let n = items.len();
         let (index, generation) = self.handle.load();
         let tx = self.tx.as_ref().expect("runtime not shut down");
-        let (reply_tx, reply_rx) = channel();
-        let mut responses: Vec<Option<QueryResponse>> = (0..n).map(|_| None).collect();
+        let answers = Arc::new(BatchAnswers::new(items.len()));
         for (slot, item) in items.into_iter().enumerate() {
             if !self.metrics.try_admit() {
                 self.metrics.shed.inc();
@@ -1170,9 +1264,12 @@ impl ServeRuntime {
                         );
                     }
                 }
-                responses[slot] = Some(QueryResponse::Overloaded {
-                    retry_after_ms: self.metrics.retry_after_ms(),
-                });
+                answers.answer(
+                    slot,
+                    QueryResponse::Overloaded {
+                        retry_after_ms: self.metrics.retry_after_ms(),
+                    },
+                );
                 continue;
             }
             let enqueued = Instant::now();
@@ -1181,7 +1278,6 @@ impl ServeRuntime {
                 (a, b) => a.or(b),
             };
             tx.send(Job {
-                slot,
                 request: item.request,
                 index: Arc::clone(&index),
                 generation,
@@ -1189,14 +1285,15 @@ impl ServeRuntime {
                 deadline,
                 trace: item.trace,
                 trace_id: item.trace_id,
-                reply: reply_tx.clone(),
+                reply: Reply {
+                    answers: Arc::clone(&answers),
+                    slot,
+                    sent: false,
+                },
             })
             .expect("serve worker hung up");
         }
-        drop(reply_tx);
-        for (slot, response) in reply_rx {
-            responses[slot] = Some(response);
-        }
+        let responses = answers.wait();
         self.metrics.batches.inc();
         responses
             .into_iter()
@@ -1522,6 +1619,89 @@ mod tests {
             other => panic!("expected an answer, got {other:?}"),
         }
         assert_eq!(cache.stats().misses, 1);
+    }
+
+    /// A row over `n` entries peaked at `peak`, so rows (and the
+    /// answers read from them) differ.
+    fn peaked(n: usize, peak: usize) -> Vec<f64> {
+        let mut row = vec![0.5 / n as f64; n];
+        row[peak % n] += 0.5;
+        row
+    }
+
+    #[test]
+    fn a_job_lost_with_its_worker_answers_error_and_the_pool_keeps_serving() {
+        let (c_n, z_n, v_n) = (3, 4, 5);
+        let cfg = CpdConfig::new(c_n, z_n);
+        let index = Arc::new(ProfileIndex::build(
+            CpdModel {
+                pi: (0..3).map(|u| peaked(c_n, u)).collect(),
+                theta: (0..c_n).map(|c| peaked(z_n, c + 1)).collect(),
+                phi: (0..z_n).map(|z| peaked(v_n, z)).collect(),
+                ..model(c_n, z_n)
+            },
+            &cfg,
+        ));
+        let mut batch = Vec::new();
+        let mut oracle = Vec::new();
+        for user in (0..3).map(UserId) {
+            batch.push(QueryRequest::UserProfile { user });
+            let membership = index.user_membership(user).to_vec();
+            oracle.push(QueryResponse::Profile {
+                dominant: cpd_core::dominant_index(&membership),
+                membership,
+            });
+        }
+        for topic in 0..z_n {
+            batch.push(QueryRequest::TopWords { topic, k: 2 });
+            oracle.push(QueryResponse::Ranking(index.top_words(topic, 2)));
+            let query = vec![WordId(topic as u32)];
+            oracle.push(QueryResponse::Ranking(index.rank_communities(&query)));
+            batch.push(QueryRequest::RankCommunities { query });
+        }
+        batch.push(QueryRequest::FriendshipScore {
+            u: UserId(0),
+            v: UserId(2),
+        });
+        oracle.push(QueryResponse::Score(
+            index.friendship_score(UserId(0), UserId(2)),
+        ));
+
+        // The first job to reach a worker kills it: the hook runs
+        // outside the query's unwind catch.
+        let hits = Arc::new(AtomicU64::new(0));
+        let hook = {
+            let hits = Arc::clone(&hits);
+            FaultHook::new(move |point| {
+                if point == "serve.worker_execute" && hits.fetch_add(1, Ordering::SeqCst) == 0 {
+                    panic!("injected worker fault");
+                }
+            })
+        };
+        let runtime = ServeRuntime::new(
+            index,
+            None,
+            ServeOptions {
+                workers: 2,
+                fault_hook: Some(hook),
+                ..ServeOptions::default()
+            },
+        )
+        .unwrap();
+
+        let answers = runtime.submit_batch(batch.clone());
+        let lost: Vec<usize> = (0..batch.len())
+            .filter(|&slot| answers[slot] != oracle[slot])
+            .collect();
+        assert_eq!(lost.len(), 1, "{answers:?}");
+        match &answers[lost[0]] {
+            QueryResponse::Error(e) => assert!(e.contains("query lost"), "{e}"),
+            other => panic!("slot {} answered {other:?}", lost[0]),
+        }
+        // The surviving worker answers the next batch in full.
+        assert_eq!(runtime.submit_batch(batch.clone()), oracle);
+        assert_eq!(hits.load(Ordering::SeqCst), 2 * batch.len() as u64);
+        runtime.shutdown();
     }
 
     #[test]

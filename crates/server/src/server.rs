@@ -219,7 +219,8 @@ impl Server {
             streams: Mutex::new(Vec::new()),
         });
         let accept_shared = Arc::clone(&shared);
-        let accept = std::thread::spawn(move || {
+        let accept = std::thread::Builder::new().name("cpd-accept".into());
+        let accept = accept.spawn(move || {
             for stream in listener.incoming() {
                 if accept_shared.stop.load(Ordering::Acquire) {
                     break; // Includes the shutdown wake-up connect.
@@ -246,10 +247,18 @@ impl Server {
                     let _ = stream.shutdown(std::net::Shutdown::Read);
                 }
                 let conn_shared = Arc::clone(&accept_shared);
-                let handle = std::thread::spawn(move || {
+                let reader = std::thread::Builder::new().name("cpd-conn".into());
+                let spawned = reader.spawn(move || {
                     serve_connection(&conn_shared, stream);
                     conn_shared.deregister_stream(conn_id);
                 });
+                // A connection no thread could take is closed unserved:
+                // the failed spawn dropped the stream, and this drops
+                // its registered clone.
+                let Ok(handle) = spawned else {
+                    accept_shared.deregister_stream(conn_id);
+                    continue;
+                };
                 let mut conns = match accept_shared.conns.lock() {
                     Ok(conns) => conns,
                     // Nothing panics while holding this lock; recover
@@ -263,7 +272,7 @@ impl Server {
                 conns.retain(|h| !h.is_finished());
                 conns.push(handle);
             }
-        });
+        })?;
         Ok(Self {
             shared,
             accept: Some(accept),
