@@ -1,8 +1,8 @@
 //! Skew-aware sampler hot-path benchmarks: the three [`SamplerKind`]s
 //! head-to-head on the paper-shaped corpus (K=50 topics over a 60k-term
 //! vocabulary) at 1/2/4/8 threads, the link-likelihood terms on a
-//! link-heavy corpus, plus the fold-in batch path that shares the
-//! one-pass weight-to-sample kernel.
+//! link-heavy corpus and the build of that corpus's graph, plus the
+//! fold-in batch path that shares the one-pass weight-to-sample kernel.
 //!
 //! All three kinds run the same sweep schedule under the same parallel
 //! runtime, so the wall-clock difference is pure per-document sampling
@@ -17,7 +17,8 @@
 //!   correction for the topic draw, statistically equivalent.
 //!
 //! Results land in `BENCH_sampler_hotpath.json`,
-//! `BENCH_link_terms.json` and `BENCH_sampler_hotpath_foldin.json`;
+//! `BENCH_link_terms.json`, `BENCH_graph_build.json` and
+//! `BENCH_sampler_hotpath_foldin.json`;
 //! `CPD_BENCH_SMOKE=1` runs a tiny single-sweep version for CI under
 //! distinct `_smoke` group names.
 
@@ -25,10 +26,10 @@ use cpd_core::{Cpd, CpdConfig, CpdModel, Eta, SamplerKind};
 use cpd_datagen::{generate, GenConfig, Scale};
 use cpd_prob::rng::seeded_rng;
 use cpd_serve::{FoldIn, FoldInConfig, FoldInItem, ProfileIndex};
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
 use rand::Rng;
-use social_graph::WordId;
+use social_graph::{SocialGraph, SocialGraphBuilder, WordId};
 
 const THREAD_LADDER: [usize; 4] = [1, 2, 4, 8];
 
@@ -110,30 +111,39 @@ fn bench_sampler_kinds(c: &mut Criterion) {
     group.finish();
 }
 
-/// A 2-thread fit where the link terms dominate: friend degree 40,
-/// 30,000 diffusions and 3 words per document over a 1,200-word
-/// vocabulary, `|C| = |Z| = 20` (the shape of the repository
-/// benchmark's `train_link_heavy` workload). The friendship term of
-/// every community draw and the Eq. 4 factor of the δ pass and the `ν`
-/// negatives take most of the fit; the word factor is small.
-///
-/// The smoke twin keeps the friend degree on the Tiny corpus and runs
-/// 2 EM iterations of 4 sweeps, so the sweeps take about 70 % of its
-/// time. At one iteration of one sweep they took about 40 %, and runs
-/// with the friendship kernel slowed 2× overlapped runs without.
-fn bench_link_terms(c: &mut Criterion) {
+/// The corpus of the repository benchmark's `train_link_heavy`
+/// workload: friend degree 40, 30,000 diffusions and 2 documents of 3
+/// words per user over a 1,200-word vocabulary on the Medium preset.
+/// The smoke twin keeps the friend degree on the Tiny preset, with
+/// 1,800 diffusions.
+fn link_heavy_corpus() -> SocialGraph {
     let (scale, n_diffusions) = if smoke() {
         (Scale::Tiny, 1_800)
     } else {
         (Scale::Medium, 30_000)
     };
-    let (g, _) = generate(&GenConfig {
+    generate(&GenConfig {
         mean_friend_degree: 40.0,
         n_diffusions,
         mean_docs_per_user: 2.0,
         mean_words_per_doc: 3.0,
         ..GenConfig::twitter_like(scale)
-    });
+    })
+    .0
+}
+
+/// A 2-thread fit where the link terms dominate, on
+/// [`link_heavy_corpus`] with `|C| = |Z| = 20` (the shape of the
+/// repository benchmark's `train_link_heavy` workload). The friendship
+/// term of every community draw and the Eq. 4 factor of the δ pass and
+/// the `ν` negatives take most of the fit; the word factor is small.
+///
+/// The smoke twin runs 2 EM iterations of 4 sweeps, so the sweeps take
+/// about 70 % of its time. At one iteration of one sweep they took
+/// about 40 %, and runs with the friendship kernel slowed 2× overlapped
+/// runs without.
+fn bench_link_terms(c: &mut Criterion) {
+    let g = link_heavy_corpus();
     let (em_iters, gibbs_sweeps) = if smoke() { (2, 4) } else { (2, 2) };
     let trainer = Cpd::new(CpdConfig {
         em_iters,
@@ -146,6 +156,40 @@ fn bench_link_terms(c: &mut Criterion) {
     let mut group = c.benchmark_group(group_name("link_terms"));
     group.sample_size(if smoke() { 2 } else { 10 });
     group.bench_function("link_heavy_fit_x2", |b| b.iter(|| trainer.fit(&g)));
+    group.finish();
+}
+
+/// A builder holding a copy of `graph`'s documents and links.
+fn builder_of(graph: &SocialGraph) -> SocialGraphBuilder {
+    let mut b = SocialGraphBuilder::new(graph.n_users(), graph.vocab_size());
+    for doc in graph.docs() {
+        b.add_document(doc.clone());
+    }
+    for l in graph.friendships() {
+        b.add_friendship(l.from, l.to);
+    }
+    for l in graph.diffusions() {
+        b.add_diffusion(l.src, l.dst, l.at);
+    }
+    b
+}
+
+/// `SocialGraphBuilder::build` on [`link_heavy_corpus`]: validation and
+/// the document, friendship and diffusion indexes, the whole `setup_s`
+/// of the repository benchmark's training workloads. Each builder is
+/// filled before the timer starts and each graph dropped after it
+/// stops, as the benchmark's `train.rs` does.
+fn bench_graph_build(c: &mut Criterion) {
+    let g = link_heavy_corpus();
+    let mut group = c.benchmark_group(group_name("graph_build"));
+    group.sample_size(if smoke() { 2 } else { 10 });
+    group.bench_function("link_heavy", |b| {
+        b.iter_batched(
+            || builder_of(&g),
+            |builder| builder.build().expect("a generated corpus is valid"),
+            BatchSize::SmallInput,
+        )
+    });
     group.finish();
 }
 
@@ -209,6 +253,7 @@ criterion_group!(
     benches,
     bench_sampler_kinds,
     bench_link_terms,
+    bench_graph_build,
     bench_foldin_batch
 );
 criterion_main!(benches);

@@ -382,12 +382,13 @@ struct ServeMetrics {
     query_seconds: [Histogram; N_CLASSES],
     /// `cpd_serve_queue_wait_seconds` — enqueue → dequeue.
     queue_wait: Histogram,
-    /// Exact integer queue depth + high-water cells (the gauges below
-    /// mirror them at scrape time; `fetch_max` needs an integer cell).
+    /// Exact integer queue depth: the admission CAS needs an integer
+    /// cell, and `queue_depth_gauge` mirrors it at scrape time.
     queue_depth: AtomicU64,
-    queue_high_water: AtomicU64,
     queue_depth_gauge: Gauge,
-    queue_high_water_gauge: Gauge,
+    /// `cpd_serve_queue_high_water`, raised at admission
+    /// ([`Gauge::set_max`]) and read back by `diagnostics()`.
+    queue_high_water: Gauge,
     /// Admission cap ([`ServeOptions::max_queue_depth`]; 0 =
     /// unbounded) — kept here so the admission CAS and the health
     /// probe read the same number.
@@ -452,13 +453,12 @@ impl ServeMetrics {
                 &[],
             ),
             queue_depth: AtomicU64::new(0),
-            queue_high_water: AtomicU64::new(0),
             queue_depth_gauge: registry.gauge(
                 "cpd_serve_queue_depth",
                 "Jobs currently waiting in the shared queue",
                 &[],
             ),
-            queue_high_water_gauge: registry.gauge(
+            queue_high_water: registry.gauge(
                 "cpd_serve_queue_high_water",
                 "Most jobs ever waiting in the shared queue at once",
                 &[],
@@ -546,7 +546,7 @@ impl ServeMetrics {
     fn try_admit(&self) -> bool {
         if self.max_queue_depth == 0 {
             let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-            self.queue_high_water.fetch_max(depth, Ordering::Relaxed);
+            self.queue_high_water.set_max(depth as f64);
             return true;
         }
         let mut depth = self.queue_depth.load(Ordering::Relaxed);
@@ -561,8 +561,7 @@ impl ServeMetrics {
                 Ordering::Relaxed,
             ) {
                 Ok(_) => {
-                    self.queue_high_water
-                        .fetch_max(depth + 1, Ordering::Relaxed);
+                    self.queue_high_water.set_max((depth + 1) as f64);
                     return true;
                 }
                 Err(current) => depth = current,
@@ -612,18 +611,17 @@ impl ServeMetrics {
         (2 * mean_ms).clamp(25, 2_000)
     }
 
-    /// Refresh the scrape-time gauges: queue depth/high-water, cache
-    /// residency, generation, uptime, pool size. Counters are **not**
-    /// mirrored here — the cache records hits/misses/evictions
-    /// straight into the registry cells it was built with
-    /// ([`FoldCache::with_counters`]), so the registry is always
+    /// Refresh the scrape-time gauges: queue depth, cache residency,
+    /// generation, uptime, pool size. Counters and the queue
+    /// high-water are **not** mirrored here — the cache records
+    /// hits/misses/evictions straight into the registry cells it was
+    /// built with ([`FoldCache::with_counters`]) and admission raises
+    /// `cpd_serve_queue_high_water` itself, so the registry is always
     /// current without a sync step.
     fn sync(&self, cache: &CacheStats, generation: u64, workers: usize) {
         self.cache_entries.set(cache.entries as f64);
         self.queue_depth_gauge
             .set(self.queue_depth.load(Ordering::Relaxed) as f64);
-        self.queue_high_water_gauge
-            .set(self.queue_high_water.load(Ordering::Relaxed) as f64);
         self.generation_gauge.set(generation as f64);
         self.uptime_gauge.set(self.registry.uptime_seconds());
         self.workers_gauge.set(workers as f64);
@@ -1312,7 +1310,7 @@ impl ServeRuntime {
             workers: self.handles.len(),
             batches: self.metrics.batches.get(),
             generation,
-            queue_high_water: self.metrics.queue_high_water.load(Ordering::Relaxed),
+            queue_high_water: self.metrics.queue_high_water.get() as u64,
             shed: self.metrics.shed.get(),
             deadline_exceeded: self.metrics.deadline_exceeded.get(),
             cache,
@@ -1566,13 +1564,21 @@ mod tests {
         }
     }
 
-    fn span_count(runtime: &ServeRuntime, span: &str) -> String {
-        let line = format!("cpd_serve_span_seconds_count{{span=\"{span}\"}} ");
+    /// The value of one series in a scrape of `runtime`, as rendered.
+    fn scraped(runtime: &ServeRuntime, series: &str) -> String {
+        let line = format!("{series} ");
         let text = runtime.prometheus_text();
         text.lines()
             .find_map(|l| l.strip_prefix(&line))
             .unwrap_or_else(|| panic!("no {line:?} series in\n{text}"))
             .to_string()
+    }
+
+    fn span_count(runtime: &ServeRuntime, span: &str) -> String {
+        scraped(
+            runtime,
+            &format!("cpd_serve_span_seconds_count{{span=\"{span}\"}}"),
+        )
     }
 
     #[test]
@@ -1701,6 +1707,25 @@ mod tests {
         // The surviving worker answers the next batch in full.
         assert_eq!(runtime.submit_batch(batch.clone()), oracle);
         assert_eq!(hits.load(Ordering::SeqCst), 2 * batch.len() as u64);
+        runtime.shutdown();
+    }
+
+    #[test]
+    fn queue_high_water_is_its_registry_gauge() {
+        let cfg = CpdConfig::new(2, 3);
+        let index = Arc::new(ProfileIndex::build(model(2, 3), &cfg));
+        let runtime = ServeRuntime::new(index, None, ServeOptions::default()).unwrap();
+        let batch: Vec<QueryRequest> = (0..3)
+            .map(|u| QueryRequest::UserProfile { user: UserId(u) })
+            .collect();
+        assert_eq!(runtime.submit_batch(batch).len(), 3);
+
+        let high_water = runtime.diagnostics().queue_high_water;
+        assert!(high_water >= 1, "a queued batch must register");
+        let series: f64 = scraped(&runtime, "cpd_serve_queue_high_water")
+            .parse()
+            .unwrap();
+        assert_eq!(series, high_water as f64);
         runtime.shutdown();
     }
 

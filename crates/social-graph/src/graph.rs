@@ -30,7 +30,9 @@ pub struct DiffusionLink {
 }
 
 /// Immutable social graph `G = (U, D, F, E)` with precomputed
-/// neighbourhood indices.
+/// neighbourhood indices: documents per user and, per user and per
+/// document, the incident friendship and diffusion link ids, each row
+/// in list order.
 #[derive(Debug, Clone)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SocialGraph {
@@ -40,7 +42,6 @@ pub struct SocialGraph {
     docs: Vec<Document>,
     user_docs: Csr,
     friendships: Vec<FriendshipLink>,
-    friend_neighbors: Csr,
     friend_incident: Csr,
     diffusions: Vec<DiffusionLink>,
     diffusion_incident: Csr,
@@ -100,13 +101,18 @@ impl SocialGraph {
         &self.diffusions
     }
 
-    /// `Λ_u`: friendship neighbours of `u`, both directions, as user ids
-    /// (parallel to [`SocialGraph::friend_links_of`]).
+    /// `Λ_u`: friendship neighbours of `u`, both directions, as user ids:
+    /// the other endpoint of each link of
+    /// [`SocialGraph::friend_links_of`], in the same order.
     pub fn friend_neighbors_of(&self, u: UserId) -> impl Iterator<Item = UserId> + '_ {
-        self.friend_neighbors
-            .row(u.index())
-            .iter()
-            .map(|&v| UserId(v))
+        self.friend_links_of(u).iter().map(move |&l| {
+            let link = self.friendships[l as usize];
+            if link.from == u {
+                link.to
+            } else {
+                link.from
+            }
+        })
     }
 
     /// Friendship link ids incident to `u` (both directions), parallel to
@@ -117,7 +123,7 @@ impl SocialGraph {
 
     /// Friendship degree of `u` (in + out).
     pub fn friend_degree(&self, u: UserId) -> usize {
-        self.friend_neighbors.degree(u.index())
+        self.friend_incident.degree(u.index())
     }
 
     /// `Λ_i`: diffusion link ids incident to document `i` (both
@@ -171,6 +177,7 @@ impl SocialGraph {
             friendships,
             self.diffusions.clone(),
         )
+        .expect("a sub-list of a valid graph's links is valid")
     }
 
     /// Rebuild this graph keeping only diffusion links whose index passes
@@ -190,65 +197,98 @@ impl SocialGraph {
             self.friendships.clone(),
             diffusions,
         )
+        .expect("a sub-list of a valid graph's links is valid")
     }
 
+    /// Validate the lists and index them: one counting pass per list,
+    /// in the order documents, friendships, diffusions, then one scatter
+    /// pass per list. Each counting pass checks its items as it counts
+    /// them, so the first fault in that order is the one reported.
     pub(crate) fn assemble(
         n_users: usize,
         vocab_size: usize,
         docs: Vec<Document>,
         friendships: Vec<FriendshipLink>,
         diffusions: Vec<DiffusionLink>,
-    ) -> SocialGraph {
-        let user_docs = Csr::from_pairs(
-            n_users,
-            docs.iter().enumerate().map(|(i, d)| (d.author.0, i as u32)),
-        );
-        let friend_neighbors = Csr::from_pairs(
-            n_users,
-            friendships
-                .iter()
-                .flat_map(|l| [(l.from.0, l.to.0), (l.to.0, l.from.0)]),
-        );
-        let friend_incident = Csr::from_pairs(
-            n_users,
-            friendships
-                .iter()
-                .enumerate()
-                .flat_map(|(i, l)| [(l.from.0, i as u32), (l.to.0, i as u32)]),
-        );
-        let diffusion_incident = Csr::from_pairs(
-            docs.len(),
-            diffusions
-                .iter()
-                .enumerate()
-                .flat_map(|(i, l)| [(l.src.0, i as u32), (l.dst.0, i as u32)]),
-        );
+    ) -> Result<SocialGraph, GraphError> {
+        if n_users == 0 {
+            return Err(GraphError::NoUsers);
+        }
+        let mut last_time = 0;
+        let mut docs_per_user = vec![0u32; n_users];
+        for (i, d) in docs.iter().enumerate() {
+            let Some(count) = docs_per_user.get_mut(d.author.index()) else {
+                return Err(GraphError::AuthorOutOfRange {
+                    doc: i,
+                    author: d.author.0,
+                    n_users,
+                });
+            };
+            if let Some(w) = d.words.iter().find(|w| w.index() >= vocab_size) {
+                return Err(GraphError::WordOutOfRange {
+                    doc: i,
+                    word: w.0,
+                    vocab: vocab_size,
+                });
+            }
+            *count += 1;
+            last_time = last_time.max(d.timestamp);
+        }
+
         let mut out_degree = vec![0u32; n_users];
         let mut in_degree = vec![0u32; n_users];
-        for l in &friendships {
-            out_degree[l.from.index()] += 1;
-            in_degree[l.to.index()] += 1;
+        for (i, l) in friendships.iter().enumerate() {
+            let (from, to) = (l.from.index(), l.to.index());
+            if from >= n_users || to >= n_users {
+                let user = if from >= n_users { l.from.0 } else { l.to.0 };
+                return Err(GraphError::FriendEndpointOutOfRange { link: i, user });
+            }
+            if from == to {
+                return Err(GraphError::FriendSelfLoop { user: l.from.0 });
+            }
+            out_degree[from] += 1;
+            in_degree[to] += 1;
         }
-        let n_timestamps = docs
-            .iter()
-            .map(|d| d.timestamp)
-            .chain(diffusions.iter().map(|l| l.at))
-            .max()
-            .map_or(1, |t| t + 1);
-        SocialGraph {
+
+        let n_docs = docs.len();
+        let mut links_per_doc = vec![0u32; n_docs];
+        for (i, l) in diffusions.iter().enumerate() {
+            let (src, dst) = (l.src.index(), l.dst.index());
+            if src >= n_docs || dst >= n_docs {
+                let doc = if src >= n_docs { l.src.0 } else { l.dst.0 };
+                return Err(GraphError::DiffusionEndpointOutOfRange { link: i, doc });
+            }
+            if src == dst {
+                return Err(GraphError::DiffusionSelfLoop { doc: l.src.0 });
+            }
+            links_per_doc[src] += 1;
+            links_per_doc[dst] += 1;
+            last_time = last_time.max(l.at);
+        }
+
+        let user_docs = Csr::scatter(docs_per_user, &docs, |d| [d.author.0]);
+        let friend_incident = Csr::scatter(
+            out_degree
+                .iter()
+                .zip(&in_degree)
+                .map(|(out, inn)| out + inn),
+            &friendships,
+            |l| [l.from.0, l.to.0],
+        );
+        let diffusion_incident = Csr::scatter(links_per_doc, &diffusions, |l| [l.src.0, l.dst.0]);
+        Ok(SocialGraph {
             n_users,
             vocab_size,
-            n_timestamps,
+            n_timestamps: last_time + 1,
             docs,
             user_docs,
             friendships,
-            friend_neighbors,
             friend_incident,
             diffusions,
             diffusion_incident,
             out_degree,
             in_degree,
-        }
+        })
     }
 }
 
@@ -300,60 +340,17 @@ impl SocialGraphBuilder {
         &self.docs[id.index()]
     }
 
-    /// Validate and build.
+    /// Validate and build. Documents are checked first (each one's
+    /// author, then its words), then friendships (endpoints, then
+    /// self-loops), then diffusions; the first fault found is returned.
     pub fn build(self) -> Result<SocialGraph, GraphError> {
-        if self.n_users == 0 {
-            return Err(GraphError::NoUsers);
-        }
-        for (i, d) in self.docs.iter().enumerate() {
-            if d.author.index() >= self.n_users {
-                return Err(GraphError::AuthorOutOfRange {
-                    doc: i,
-                    author: d.author.0,
-                    n_users: self.n_users,
-                });
-            }
-            if let Some(w) = d.words.iter().find(|w| w.index() >= self.vocab_size) {
-                return Err(GraphError::WordOutOfRange {
-                    doc: i,
-                    word: w.0,
-                    vocab: self.vocab_size,
-                });
-            }
-        }
-        for (i, l) in self.friendships.iter().enumerate() {
-            if l.from.index() >= self.n_users || l.to.index() >= self.n_users {
-                let user = if l.from.index() >= self.n_users {
-                    l.from.0
-                } else {
-                    l.to.0
-                };
-                return Err(GraphError::FriendEndpointOutOfRange { link: i, user });
-            }
-            if l.from == l.to {
-                return Err(GraphError::FriendSelfLoop { user: l.from.0 });
-            }
-        }
-        for (i, l) in self.diffusions.iter().enumerate() {
-            if l.src.index() >= self.docs.len() || l.dst.index() >= self.docs.len() {
-                let doc = if l.src.index() >= self.docs.len() {
-                    l.src.0
-                } else {
-                    l.dst.0
-                };
-                return Err(GraphError::DiffusionEndpointOutOfRange { link: i, doc });
-            }
-            if l.src == l.dst {
-                return Err(GraphError::DiffusionSelfLoop { doc: l.src.0 });
-            }
-        }
-        Ok(SocialGraph::assemble(
+        SocialGraph::assemble(
             self.n_users,
             self.vocab_size,
             self.docs,
             self.friendships,
             self.diffusions,
-        ))
+        )
     }
 }
 
@@ -464,6 +461,69 @@ mod tests {
             b.build(),
             Err(GraphError::DiffusionSelfLoop { doc: 0 })
         ));
+    }
+
+    #[test]
+    fn first_fault_in_the_parents_order_wins() {
+        // Documents (author before words), then friendships (endpoint
+        // before self-loop), then diffusions; the first offender wins.
+        let faulty = |bad_word: bool, bad_author: bool, self_loop: bool| {
+            let mut b = SocialGraphBuilder::new(3, 4);
+            for i in 0..5u32 {
+                let author = if bad_author && i == 3 { 5 } else { i % 3 };
+                let word = if bad_word && i == 1 { 9 } else { i % 4 };
+                b.add_document(Document::new(UserId(author), vec![WordId(word)], i));
+            }
+            b.add_friendship(UserId(0), UserId(1));
+            if self_loop {
+                b.add_friendship(UserId(2), UserId(2));
+            }
+            b.add_friendship(UserId(1), UserId(2));
+            b.add_diffusion(DocId(1), DocId(0), 1);
+            b.add_diffusion(DocId(2), DocId(99), 2);
+            b.build().unwrap_err()
+        };
+        assert_eq!(
+            faulty(true, true, true),
+            GraphError::WordOutOfRange {
+                doc: 1,
+                word: 9,
+                vocab: 4
+            }
+        );
+        assert_eq!(
+            faulty(false, true, true),
+            GraphError::AuthorOutOfRange {
+                doc: 3,
+                author: 5,
+                n_users: 3
+            }
+        );
+        assert_eq!(
+            faulty(false, false, true),
+            GraphError::FriendSelfLoop { user: 2 }
+        );
+        assert_eq!(
+            faulty(false, false, false),
+            GraphError::DiffusionEndpointOutOfRange { link: 1, doc: 99 }
+        );
+
+        let mut b = SocialGraphBuilder::new(1, 2);
+        b.add_document(Document::new(UserId(5), vec![WordId(9)], 0));
+        assert_eq!(
+            b.build().unwrap_err(),
+            GraphError::AuthorOutOfRange {
+                doc: 0,
+                author: 5,
+                n_users: 1
+            }
+        );
+        let mut b = SocialGraphBuilder::new(2, 1);
+        b.add_friendship(UserId(7), UserId(7));
+        assert_eq!(
+            b.build().unwrap_err(),
+            GraphError::FriendEndpointOutOfRange { link: 0, user: 7 }
+        );
     }
 
     #[test]

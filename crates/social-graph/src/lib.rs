@@ -11,6 +11,17 @@
 //! neighbourhood views the Gibbs samplers need: `Λ_u` (friendship
 //! neighbours of a user, both directions) and `Λ_i` (diffusion links
 //! incident to a document, both directions).
+//!
+//! A build reads each list twice, straight from its slice: one counting
+//! pass per list (documents, then friendships, then diffusions) that
+//! validates every item, so the first fault in that order is the error
+//! returned, and takes the row degrees, the followee/follower counts and
+//! the last timestamp; then one [`csr::Csr::scatter`] pass per list.
+//! Three CSRs result — documents per user, friendship links per user,
+//! diffusion links per document — and every row keeps list order, so
+//! every sweep visits links in insertion order. The neighbour view `Λ_u`
+//! is not stored: [`SocialGraph::friend_neighbors_of`] returns the other
+//! endpoint of each of the user's incident links.
 
 pub mod csr;
 pub mod document;

@@ -55,6 +55,7 @@ pub fn subsample(g: &SocialGraph, frac: f64, seed: u64) -> SocialGraph {
         .collect();
 
     SocialGraph::assemble(g.n_users(), g.vocab_size(), docs, friendships, diffusions)
+        .expect("a sample of a valid graph is valid")
 }
 
 #[cfg(test)]

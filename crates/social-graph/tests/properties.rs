@@ -1,9 +1,12 @@
 //! Property-based tests for the social-graph substrate.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use social_graph::csr::Csr;
 use social_graph::split::k_fold_indices;
-use social_graph::{sample::subsample, Document, SocialGraphBuilder, UserId, WordId};
+use social_graph::{
+    sample::subsample, DocId, Document, SocialGraph, SocialGraphBuilder, UserId, WordId,
+};
 
 /// Strategy: a random valid graph description.
 #[allow(clippy::type_complexity)]
@@ -60,6 +63,101 @@ fn build(
         );
     }
     b.build().expect("strategy only produces valid graphs")
+}
+
+/// Strategy: a valid graph description with every row shape a sweep
+/// meets. The last user writes nothing, the last document is in no
+/// diffusion link, the first friendship (if any) is repeated once in
+/// each direction, and diffusion times may pass every document time.
+#[allow(clippy::type_complexity)]
+fn row_shape_strategy() -> impl Strategy<
+    Value = (
+        usize,                // n_users
+        Vec<(u32, u32)>,      // docs: (author, t)
+        Vec<(u32, u32)>,      // friendships, no self-loops
+        Vec<(u32, u32, u32)>, // diffusions: (src, dst, at), no self-loops
+    ),
+> {
+    (2usize..16, 3usize..24).prop_flat_map(|(n_users, n_docs)| {
+        let (users, linked) = (n_users as u32, n_docs as u32 - 1);
+        let docs = prop::collection::vec((0..users - 1, 0u32..8), n_docs);
+        let friends = prop::collection::vec((0..users, 1..users), 0..40).prop_map(move |pairs| {
+            let mut links: Vec<(u32, u32)> = pairs
+                .into_iter()
+                .map(|(u, k)| (u, (u + k) % users))
+                .collect();
+            if let Some(&(u, v)) = links.first() {
+                links.extend([(u, v), (v, u)]);
+            }
+            links
+        });
+        let diffs =
+            prop::collection::vec((0..linked, 1..linked, 0u32..12), 0..30).prop_map(move |links| {
+                links
+                    .into_iter()
+                    .map(|(i, k, t)| (i, (i + k) % linked, t))
+                    .collect::<Vec<_>>()
+            });
+        (Just(n_users), docs, friends, diffs)
+    })
+}
+
+/// Every neighbourhood view of `g` equals a plain scan of `g`'s own
+/// document, friendship and diffusion lists, element for element and in
+/// list order.
+fn views_match_scans(g: &SocialGraph) -> Result<(), TestCaseError> {
+    for u in 0..g.n_users() as u32 {
+        let user = UserId(u);
+        let docs: Vec<DocId> = (0..g.n_docs() as u32)
+            .map(DocId)
+            .filter(|&d| g.doc(d).author == user)
+            .collect();
+        prop_assert_eq!(g.docs_of(user).collect::<Vec<_>>(), docs.clone());
+        prop_assert_eq!(g.n_docs_of(user), docs.len());
+
+        let links: Vec<u32> = (0..g.friendships().len() as u32)
+            .filter(|&i| {
+                let l = g.friendships()[i as usize];
+                l.from == user || l.to == user
+            })
+            .collect();
+        let neighbours: Vec<UserId> = links
+            .iter()
+            .map(|&i| {
+                let l = g.friendships()[i as usize];
+                if l.from == user {
+                    l.to
+                } else {
+                    l.from
+                }
+            })
+            .collect();
+        prop_assert_eq!(g.friend_links_of(user), &links[..]);
+        prop_assert_eq!(g.friend_neighbors_of(user).collect::<Vec<_>>(), neighbours);
+        prop_assert_eq!(g.friend_degree(user), links.len());
+        let out = g.friendships().iter().filter(|l| l.from == user).count();
+        let inn = g.friendships().iter().filter(|l| l.to == user).count();
+        prop_assert_eq!(g.followees(user) as usize, out);
+        prop_assert_eq!(g.followers(user) as usize, inn);
+    }
+    for d in 0..g.n_docs() as u32 {
+        let doc = DocId(d);
+        let links: Vec<u32> = (0..g.diffusions().len() as u32)
+            .filter(|&i| {
+                let l = g.diffusions()[i as usize];
+                l.src == doc || l.dst == doc
+            })
+            .collect();
+        prop_assert_eq!(g.diffusion_links_of(doc), &links[..]);
+    }
+    let last = g
+        .docs()
+        .iter()
+        .map(|d| d.timestamp)
+        .chain(g.diffusions().iter().map(|l| l.at))
+        .max();
+    prop_assert_eq!(g.n_timestamps(), last.map_or(1, |t| t + 1));
+    Ok(())
 }
 
 proptest! {
@@ -123,6 +221,59 @@ proptest! {
     }
 
     #[test]
+    fn graph_views_match_naive_scans(
+        (n_users, docs, friends, diffs) in row_shape_strategy(),
+        stride in 2usize..5,
+        frac in 0.1f64..1.0,
+        seed in 0u64..100,
+    ) {
+        let mut b = SocialGraphBuilder::new(n_users, 1);
+        for &(author, t) in &docs {
+            b.add_document(Document::new(UserId(author), vec![WordId(0)], t));
+        }
+        for &(u, v) in &friends {
+            b.add_friendship(UserId(u), UserId(v));
+        }
+        for &(i, j, t) in &diffs {
+            b.add_diffusion(DocId(i), DocId(j), t);
+        }
+        let g = b.build().expect("strategy only produces valid graphs");
+        let authors: Vec<(u32, u32)> = g.docs().iter().map(|d| (d.author.0, d.timestamp)).collect();
+        let links: Vec<(u32, u32)> = g.friendships().iter().map(|l| (l.from.0, l.to.0)).collect();
+        let diffusions: Vec<(u32, u32, u32)> =
+            g.diffusions().iter().map(|l| (l.src.0, l.dst.0, l.at)).collect();
+        prop_assert_eq!(authors, docs);
+        prop_assert_eq!(links, friends.clone());
+        prop_assert_eq!(diffusions, diffs.clone());
+        views_match_scans(&g)?;
+
+        let kept = g.retain_friendships(|i| i % stride != 0);
+        let want: Vec<(u32, u32)> = friends
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| i % stride != 0)
+            .map(|(_, &l)| l)
+            .collect();
+        let links: Vec<(u32, u32)> = kept.friendships().iter().map(|l| (l.from.0, l.to.0)).collect();
+        prop_assert_eq!(links, want);
+        views_match_scans(&kept)?;
+
+        let kept = g.retain_diffusions(|i| i % stride == 0);
+        let want: Vec<(u32, u32, u32)> = diffs
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| i % stride == 0)
+            .map(|(_, &l)| l)
+            .collect();
+        let diffusions: Vec<(u32, u32, u32)> =
+            kept.diffusions().iter().map(|l| (l.src.0, l.dst.0, l.at)).collect();
+        prop_assert_eq!(diffusions, want);
+        views_match_scans(&kept)?;
+
+        views_match_scans(&subsample(&g, frac, seed))?;
+    }
+
+    #[test]
     fn k_folds_partition(n in 1usize..200, k in 2usize..10, seed in 0u64..100) {
         let folds = k_fold_indices(n, k, seed);
         prop_assert_eq!(folds.len(), k);
@@ -140,7 +291,11 @@ proptest! {
     fn csr_preserves_all_pairs(
         pairs in prop::collection::vec((0u32..15, 0u32..1000), 0..60)
     ) {
-        let csr = Csr::from_pairs(15, pairs.clone());
+        let mut degrees = [0u32; 15];
+        for &(node, _) in &pairs {
+            degrees[node as usize] += 1;
+        }
+        let csr = Csr::scatter(degrees, &pairs, |&(node, _)| [node]);
         prop_assert_eq!(csr.total(), pairs.len());
         for node in 0..15 {
             let want: Vec<u32> = pairs
@@ -148,7 +303,8 @@ proptest! {
                 .filter(|(n, _)| *n == node as u32)
                 .map(|(_, p)| *p)
                 .collect();
-            prop_assert_eq!(csr.row(node), &want[..]);
+            let got: Vec<u32> = csr.row(node).iter().map(|&i| pairs[i as usize].1).collect();
+            prop_assert_eq!(got, want);
         }
     }
 }

@@ -70,6 +70,20 @@ impl Gauge {
         f64::from_bits(self.cell.load(Ordering::Relaxed))
     }
 
+    /// Raise the gauge to `v` if `v` is larger, in one atomic
+    /// read-modify-write (a high-water mark). Only for gauges that hold
+    /// non-negative values: the bits of non-negative `f64`s order as the
+    /// values do, so an integer `fetch_max` on the bits is the float
+    /// max. A negative value, `-0.0` or a NaN breaks that order.
+    #[inline]
+    pub fn set_max(&self, v: f64) {
+        debug_assert!(
+            v >= 0.0 && v.is_sign_positive(),
+            "Gauge::set_max takes non-negative values, got {v}"
+        );
+        self.cell.fetch_max(v.to_bits(), Ordering::Relaxed);
+    }
+
     #[inline]
     pub fn add(&self, delta: f64) {
         // CAS loop: gauges are low-frequency (queue depth, not tokens).
@@ -363,6 +377,27 @@ mod tests {
         g.set(1.5);
         g.add(1.0);
         assert!((g.get() - 2.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn gauge_set_max_keeps_the_largest_value() {
+        let g = Gauge::new();
+        for v in [3.0, 1.0, 0.0, 2.5e9, 7.0] {
+            g.set_max(v);
+        }
+        assert_eq!(g.get(), 2.5e9);
+        let fresh = Gauge::new();
+        fresh.set_max(0.0);
+        assert_eq!(fresh.get(), 0.0);
+        fresh.set_max(0.25);
+        assert_eq!(fresh.get(), 0.25);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "non-negative")]
+    fn gauge_set_max_refuses_negative_values() {
+        Gauge::new().set_max(-1.0);
     }
 
     #[test]
