@@ -1,10 +1,10 @@
-//! Skew-aware sampler hot-path benchmarks: the three [`SamplerKind`]s
+//! Skew-aware sampler hot-path benchmarks: the two [`SamplerKind`]s
 //! head-to-head on the paper-shaped corpus (K=50 topics over a 60k-term
 //! vocabulary) at 1/2/4/8 threads, the link-likelihood terms on a
 //! link-heavy corpus and the build of that corpus's graph, plus the
 //! fold-in batch path that shares the one-pass weight-to-sample kernel.
 //!
-//! All three kinds run the same sweep schedule under the same parallel
+//! Both kinds run the same sweep schedule under the same parallel
 //! runtime, so the wall-clock difference is pure per-document sampling
 //! math:
 //!
@@ -12,9 +12,7 @@
 //!   factor, full `|Z|`/`|C|` scans;
 //! * `exact` — cached log-count tables + sparse candidate
 //!   decomposition, draw-for-draw identical to `dense` (the acceptance
-//!   bar is `exact ≥ 1.5×` faster than `dense` at 8 threads);
-//! * `alias_mh` — stale alias proposals with Metropolis–Hastings
-//!   correction for the topic draw, statistically equivalent.
+//!   bar is `exact ≥ 1.5×` faster than `dense` at 8 threads).
 //!
 //! Results land in `BENCH_sampler_hotpath.json`,
 //! `BENCH_link_terms.json`, `BENCH_graph_build.json` and
@@ -49,7 +47,6 @@ fn sampler_label(sampler: SamplerKind) -> &'static str {
     match sampler {
         SamplerKind::Dense => "dense",
         SamplerKind::Exact => "exact",
-        SamplerKind::AliasMh => "alias_mh",
     }
 }
 
@@ -92,7 +89,7 @@ fn bench_cfg(threads: usize, sampler: SamplerKind) -> CpdConfig {
     }
 }
 
-/// Dense vs cached/sparse vs alias-MH across the thread ladder.
+/// Dense vs cached/sparse across the thread ladder.
 fn bench_sampler_kinds(c: &mut Criterion) {
     let gen = paper_shaped_corpus();
     let (g, _) = generate(&gen);
@@ -100,7 +97,7 @@ fn bench_sampler_kinds(c: &mut Criterion) {
     group.sample_size(if smoke() { 2 } else { 10 });
     let ladder: &[usize] = if smoke() { &[2] } else { &THREAD_LADDER };
     for &threads in ladder {
-        for sampler in [SamplerKind::Dense, SamplerKind::Exact, SamplerKind::AliasMh] {
+        for sampler in [SamplerKind::Dense, SamplerKind::Exact] {
             let label = sampler_label(sampler);
             group.bench_function(format!("{label}_x{threads}"), |b| {
                 let trainer = Cpd::new(bench_cfg(threads, sampler)).unwrap();

@@ -12,8 +12,10 @@ use cpd_datagen::generate;
 use cpd_eval::nmi;
 use cpd_prob::stats::spearman;
 
+const USAGE: &str = "usage: ablation_recovery [tiny|small|medium]";
+
 fn main() {
-    let scale = scale_from_args();
+    let scale = scale_from_args(USAGE);
     let methods = [
         MethodKind::Pmtlm,
         MethodKind::Crm,

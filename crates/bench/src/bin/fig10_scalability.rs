@@ -13,8 +13,10 @@ use cpd_core::{Cpd, CpdConfig};
 use cpd_datagen::generate;
 use social_graph::sample::subsample;
 
+const USAGE: &str = "usage: fig10_scalability [tiny|small|medium]";
+
 fn main() {
-    let scale = scale_from_args();
+    let scale = scale_from_args(USAGE);
     let max_threads = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(4)

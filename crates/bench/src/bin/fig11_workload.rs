@@ -14,7 +14,7 @@ use std::process::ExitCode;
 const USAGE: &str = "usage: fig11_workload [tiny|small|medium] [threads]";
 
 fn main() -> ExitCode {
-    let scale = scale_from_args();
+    let scale = scale_from_args(USAGE);
     let threads: usize = match std::env::args().nth(2) {
         None => std::thread::available_parallelism()
             .map(|p| p.get().min(8))

@@ -18,9 +18,11 @@ use cpd_datagen::generate;
 use cpd_eval::average_conductance;
 use social_graph::split::{diffusion_holdout, friendship_holdout, k_fold_indices};
 
+const USAGE: &str = "usage: fig3_design [tiny|small|medium] [folds]";
+
 fn main() {
-    let scale = scale_from_args();
-    let folds = cpd_bench::folds_from_args(2);
+    let scale = scale_from_args(USAGE);
+    let folds = cpd_bench::folds_from_args(2, USAGE);
     let design_methods = [
         MethodKind::CpdNoHeterogeneity,
         MethodKind::CpdNoJoint,

@@ -16,9 +16,11 @@ use cpd_datagen::generate;
 use cpd_eval::paired_t_test;
 use social_graph::split::{diffusion_holdout, k_fold_indices};
 
+const USAGE: &str = "usage: fig4_diffusion [tiny|small|medium] [folds]";
+
 fn main() {
-    let scale = scale_from_args();
-    let folds = cpd_bench::folds_from_args(2);
+    let scale = scale_from_args(USAGE);
+    let folds = cpd_bench::folds_from_args(2, USAGE);
     for (ds_name, gen) in datasets(scale) {
         let (g, _) = generate(&gen);
         let baselines: Vec<MethodKind> = if ds_name == "Twitter" {

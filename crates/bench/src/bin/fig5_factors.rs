@@ -16,8 +16,10 @@ use cpd_datagen::{generate, GenConfig};
 use cpd_prob::stats::pearson;
 use social_graph::{UserId, WordId};
 
+const USAGE: &str = "usage: fig5_factors [tiny|small|medium]";
+
 fn main() {
-    let scale = scale_from_args();
+    let scale = scale_from_args(USAGE);
     let gen = GenConfig::dblp_like(scale);
     let (g, _) = generate(&gen);
 

@@ -20,8 +20,10 @@ use social_graph::{SocialGraph, WordId};
 
 const K_MAX: usize = 10;
 
+const USAGE: &str = "usage: fig6_ranking [tiny|small|medium]";
+
 fn main() {
-    let scale = scale_from_args();
+    let scale = scale_from_args(USAGE);
     let c_values: Vec<usize> = match scale {
         Scale::Tiny => vec![4, 8],
         Scale::Small => vec![8, 20],

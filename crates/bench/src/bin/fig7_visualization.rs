@@ -10,8 +10,10 @@ use cpd_core::apps::visualization::{openness, significant_edges, to_dot, to_json
 use cpd_core::{Cpd, CpdConfig};
 use cpd_datagen::{generate, GenConfig};
 
+const USAGE: &str = "usage: fig7_visualization [tiny|small|medium]";
+
 fn main() {
-    let scale = scale_from_args();
+    let scale = scale_from_args(USAGE);
     let gen = GenConfig::dblp_like(scale);
     let (g, _) = generate(&gen);
     let cfg = CpdConfig {

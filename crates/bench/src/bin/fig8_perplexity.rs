@@ -10,8 +10,10 @@ use cpd_core::{Cpd, CpdConfig};
 use cpd_datagen::generate;
 use cpd_eval::content_profile_perplexity;
 
+const USAGE: &str = "usage: fig8_perplexity [tiny|small|medium]";
+
 fn main() {
-    let scale = scale_from_args();
+    let scale = scale_from_args(USAGE);
     let mut rows = Vec::new();
     for (ds_name, gen) in datasets(scale) {
         let (g, _) = generate(&gen);

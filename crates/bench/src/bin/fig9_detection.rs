@@ -13,9 +13,11 @@ use cpd_datagen::generate;
 use cpd_eval::average_conductance;
 use social_graph::split::{friendship_holdout, k_fold_indices};
 
+const USAGE: &str = "usage: fig9_detection [tiny|small|medium] [folds]";
+
 fn main() {
-    let scale = scale_from_args();
-    let folds = cpd_bench::folds_from_args(2);
+    let scale = scale_from_args(USAGE);
+    let folds = cpd_bench::folds_from_args(2, USAGE);
     let methods = [
         MethodKind::Pmtlm,
         MethodKind::Crm,

@@ -6,16 +6,23 @@
 use cpd_bench::print_table;
 use cpd_datagen::{generate, GenConfig, Scale};
 
+const USAGE: &str = "usage: table3_stats [tiny|small|medium]";
+
 fn main() {
     let scales = match std::env::args().nth(1).as_deref() {
         Some("tiny") => vec![("tiny", Scale::Tiny)],
         Some("small") => vec![("small", Scale::Small)],
         Some("medium") => vec![("medium", Scale::Medium)],
-        _ => vec![
+        None => vec![
             ("tiny", Scale::Tiny),
             ("small", Scale::Small),
             ("medium", Scale::Medium),
         ],
+        Some(other) => {
+            eprintln!("scale must be tiny, small or medium, got `{other}`");
+            eprintln!("{USAGE}");
+            std::process::exit(2);
+        }
     };
     let mut rows = Vec::new();
     for (scale_name, scale) in scales {

@@ -9,8 +9,10 @@ use cpd_bench::{print_table, scale_from_args};
 use cpd_core::{Cpd, CpdConfig};
 use cpd_datagen::{generate, GenConfig};
 
+const USAGE: &str = "usage: table5_topics [tiny|small|medium]";
+
 fn main() {
-    let scale = scale_from_args();
+    let scale = scale_from_args(USAGE);
     let gen = GenConfig::dblp_like(scale);
     let (g, _) = generate(&gen);
     let cfg = CpdConfig {

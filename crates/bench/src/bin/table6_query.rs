@@ -11,8 +11,10 @@ use cpd_eval::membership::CommunityUserSets;
 use cpd_eval::ranking::evaluate_ranking;
 use social_graph::WordId;
 
+const USAGE: &str = "usage: table6_query [tiny|small|medium]";
+
 fn main() {
-    let scale = scale_from_args();
+    let scale = scale_from_args(USAGE);
     let gen = GenConfig::dblp_like(scale);
     let (g, _) = generate(&gen);
     let cfg = CpdConfig {

@@ -8,24 +8,45 @@ use rand::Rng;
 use social_graph::{DiffusionLink, DocId, SocialGraph, UserId};
 use std::collections::HashSet;
 
-/// Parse the common `tiny | small | medium` scale argument (first CLI
-/// positional), defaulting to `small`.
-pub fn scale_from_args() -> Scale {
+/// Print `problem` and the binary's `usage` line to stderr and exit
+/// with code 2: how an experiment binary refuses an argument it cannot
+/// read, before it generates any data.
+fn exit_usage(usage: &str, problem: &str) -> ! {
+    eprintln!("{problem}");
+    eprintln!("{usage}");
+    std::process::exit(2)
+}
+
+/// The common `tiny | small | medium` scale argument (first CLI
+/// positional), `small` when absent. Any other text exits 2 with
+/// `usage`.
+pub fn scale_from_args(usage: &str) -> Scale {
     match std::env::args().nth(1).as_deref() {
+        None => Scale::Small,
         Some("tiny") => Scale::Tiny,
+        Some("small") => Scale::Small,
         Some("medium") => Scale::Medium,
-        _ => Scale::Small,
+        Some(other) => exit_usage(
+            usage,
+            &format!("scale must be tiny, small or medium, got `{other}`"),
+        ),
     }
 }
 
-/// Number of cross-validation folds: second CLI positional, default
-/// `default` (the paper uses 10; the default keeps the binaries quick).
-pub fn folds_from_args(default: usize) -> usize {
-    std::env::args()
-        .nth(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-        .max(2)
+/// Number of cross-validation folds: second CLI positional, `default`
+/// when absent (the paper uses 10; the default keeps the binaries
+/// quick). Anything but an integer of at least 2 exits 2 with `usage`.
+pub fn folds_from_args(default: usize, usage: &str) -> usize {
+    match std::env::args().nth(2) {
+        None => default,
+        Some(arg) => match arg.parse() {
+            Ok(n) if n >= 2 => n,
+            _ => exit_usage(
+                usage,
+                &format!("folds must be an integer of at least 2, got `{arg}`"),
+            ),
+        },
+    }
 }
 
 /// The two dataset presets, named as in the paper.

@@ -7,7 +7,8 @@
 //!
 //! All binaries take an optional scale argument
 //! (`tiny` | `small` | `medium`, default `small`) and print the
-//! regenerated rows/series to stdout.
+//! regenerated rows/series to stdout. An argument they cannot read
+//! exits 2 with the binary's usage line, before any data is generated.
 
 pub mod harness;
 pub mod methods;

@@ -35,10 +35,11 @@ pub enum ParallelRuntime {
 }
 
 /// Which per-document sampling math runs inside the Gibbs sweep — the
-/// skew-aware hot-path axis. All three kinds target the same collapsed
-/// conditionals (Eqs. 13–16); they differ in how the candidate weights
-/// are evaluated. See the module docs in `gibbs.rs` for the weight
-/// decomposition and the equivalence arguments.
+/// skew-aware hot-path axis. Both kinds draw from the exact collapsed
+/// conditionals (Eqs. 13–16) and make the same draws for any seed; they
+/// differ only in how the candidate weights are evaluated. See the
+/// module docs in `gibbs.rs` for the weight decomposition and the
+/// equivalence argument.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SamplerKind {
     /// The historical dense math: one `ln()` per candidate per word,
@@ -52,14 +53,6 @@ pub enum SamplerKind {
     /// cached value is bitwise equal to the direct computation).
     #[default]
     Exact,
-    /// Alias-backed Metropolis–Hastings topic proposals (the LightLDA
-    /// trick): the slowly-changing community-topic prior factor is
-    /// drawn from a per-community alias table refreshed once per
-    /// sweep, corrected by a few MH accept/reject steps against the
-    /// exact target. O(mh_steps·|doc|) per topic draw instead of
-    /// O(|Z|·|doc|). Statistically equivalent, not draw-identical;
-    /// community draws stay on the exact cached path.
-    AliasMh,
 }
 
 /// Joint vs. two-phase training.
@@ -107,8 +100,8 @@ pub struct CpdConfig {
     pub threads: Option<usize>,
     /// Parallel E-step runtime (ignored when serial).
     pub parallel_runtime: ParallelRuntime,
-    /// Per-document sampling math (dense oracle, cached+sparse exact,
-    /// or alias-MH approximate).
+    /// Per-document sampling math (the cached+sparse `Exact` path, or
+    /// the `Dense` oracle it is tested against).
     pub sampler: SamplerKind,
     /// RNG seed.
     pub seed: u64,

@@ -28,12 +28,12 @@
 //! and analogously for communities with `ln(n_uc + ρ)` as the prior
 //! factor. Every transcendental there is a logarithm of a *small
 //! integer count plus a fixed offset*, and on skewed corpora the
-//! `n_cz`/`n_uc` rows are mostly zero — which the three sampler kinds
-//! exploit to different degrees:
+//! `n_cz`/`n_uc` rows are mostly zero. Two sampler kinds evaluate that
+//! conditional, and draw the same topics and communities for any seed:
 //!
 //! * [`SamplerKind::Dense`] — the historical math, one `ln()` per
 //!   candidate per word, every candidate scanned. Kept verbatim as the
-//!   differential-testing oracle; use it to validate the others, never
+//!   differential-testing oracle; use it to validate `Exact`, never
 //!   for throughput.
 //! * [`SamplerKind::Exact`] (default) — same draws, cheaper
 //!   arithmetic. The prior factors become a constant zero-count
@@ -54,21 +54,6 @@
 //!   draw (`sample_log_index_mut`) preserves the shift, the summation
 //!   order and the single uniform draw — so `Exact` is draw-for-draw
 //!   identical to `Dense` for any seed.
-//! * [`SamplerKind::AliasMh`] — the LightLDA trick adapted to
-//!   document-level assignments. Topic candidates are *proposed* from
-//!   a per-community alias table over the slowly-changing
-//!   `n_cz + α` prior row (rebuilt lazily once per sweep, O(1) per
-//!   draw) and corrected by a few Metropolis–Hastings steps against
-//!   the exact target, evaluating the O(|doc|) word factor only for
-//!   the current and proposed topics. Correctness: the MH acceptance
-//!   `min(1, [p(z')q(z)] / [p(z)q(z')])` uses the *live* counts in
-//!   `p` while `q` is the stale proposal, and `q > 0` wherever
-//!   `p > 0`, so the chain's stationary distribution per step is the
-//!   exact conditional — staleness costs mixing speed, not
-//!   correctness. Communities keep the `Exact` path (their factor mix
-//!   is dominated by link terms, not the prior row). Wins once
-//!   `|Z| · |doc|` dwarfs `mh_steps · |doc|`, i.e. for large topic
-//!   counts; on small K the alias rebuilds outweigh the savings.
 //!
 //! # The link terms
 //!
@@ -145,14 +130,13 @@ use crate::config::{CpdConfig, DiffusionModel, SamplerKind};
 use crate::features::{community_feature, UserFeatures, F_COMMUNITY, F_TOPIC_POP, N_FEATURES};
 use crate::profiles::Eta;
 use crate::state::{CpdState, DeltaSink, LinkMeta};
-use cpd_prob::categorical::{sample_log_index_mut, AliasTable};
+use cpd_prob::categorical::sample_log_index_mut;
 use cpd_prob::logcache::{LogCountCache, LogShiftCache};
 use polya_gamma::sample_pg1;
 use rand::rngs::StdRng;
 use rand::Rng;
 use social_graph::{DocId, SocialGraph, UserId};
 use std::ops::Range;
-use std::time::Instant;
 
 /// Which factors a sweep samples — the "no joint modeling" ablation
 /// trains in two phases.
@@ -166,12 +150,6 @@ pub(crate) enum SweepPhase {
     /// Phase 2 of two-phase training: topics only, communities frozen.
     ProfileOnly,
 }
-
-/// Metropolis–Hastings steps per topic draw on the
-/// [`SamplerKind::AliasMh`] path. LightLDA uses 2; a couple of steps
-/// already mix well because the proposal tracks the dominant prior
-/// factor.
-const MH_STEPS: usize = 2;
 
 /// Per-fit memo tables for the sampler's transcendental calls: flat
 /// `ln(count + offset)` tables for the fixed `α`/`ρ`/`Zα` offsets and
@@ -240,18 +218,11 @@ impl SamplerTables {
     }
 }
 
-/// Where a sweep's time and sparsity went — drained per sweep into
-/// [`crate::FitDiagnostics`] so the speedup provenance is visible
-/// (alias rebuild cost, MH mixing, how sparse the count rows actually
-/// were).
+/// How sparse the count rows of a sweep's draws were — drained per
+/// sweep into [`crate::FitDiagnostics`], so the share of the prior
+/// factor the sparse `Exact` path skipped is visible.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SamplerStats {
-    /// Seconds spent (re)building per-community alias proposal tables.
-    pub alias_build_seconds: f64,
-    /// Metropolis–Hastings proposals made (`AliasMh` only).
-    pub mh_proposals: u64,
-    /// Metropolis–Hastings proposals accepted (`AliasMh` only).
-    pub mh_accepts: u64,
     /// Count rows visited through the sparse-iteration path.
     pub sparse_rows: u64,
     /// Nonzero entries across those rows.
@@ -263,17 +234,9 @@ pub struct SamplerStats {
 impl SamplerStats {
     /// Fold another accumulator (e.g. a worker's) into this one.
     pub fn merge(&mut self, other: &SamplerStats) {
-        self.alias_build_seconds += other.alias_build_seconds;
-        self.mh_proposals += other.mh_proposals;
-        self.mh_accepts += other.mh_accepts;
         self.sparse_rows += other.sparse_rows;
         self.sparse_nonzeros += other.sparse_nonzeros;
         self.sparse_slots += other.sparse_slots;
-    }
-
-    /// Fraction of MH proposals accepted, if any were made.
-    pub fn acceptance_rate(&self) -> Option<f64> {
-        (self.mh_proposals > 0).then(|| self.mh_accepts as f64 / self.mh_proposals as f64)
     }
 
     /// Mean occupied fraction of the sparse-visited count rows (nonzero
@@ -285,20 +248,13 @@ impl SamplerStats {
     }
 }
 
-/// Stale per-community alias proposal over the `n_cz + α` row: O(1)
-/// draws plus the log proposal weights needed by the MH correction.
-struct AliasProposal {
-    table: AliasTable,
-    ln_w: Vec<f64>,
-}
-
 /// Reusable per-worker scratch space for the sweep hot loop: the
 /// candidate log-weight vectors and the bilinear `g` buffer used to be
 /// allocated fresh for every document visit (two `Vec`s per document,
 /// one more per diffusion link); each worker now carries one
 /// `SweepScratch` for its whole fit and the hot loop never touches the
-/// allocator. It also holds the per-document occurrence offsets, the
-/// per-sweep alias proposals, and the [`SamplerStats`] accumulator.
+/// allocator. It also holds the per-document occurrence offsets and the
+/// [`SamplerStats`] accumulator.
 /// Logically this is the mutable, per-thread companion of the shared
 /// immutable [`SweepContext`].
 pub(crate) struct SweepScratch {
@@ -319,9 +275,6 @@ pub(crate) struct SweepScratch {
     /// computed once per document visit and reused across all
     /// candidates.
     occ: Vec<u32>,
-    /// Per-community alias proposals, rebuilt lazily each sweep
-    /// (`AliasMh` only).
-    alias: Vec<Option<AliasProposal>>,
     /// Sampler accounting, drained per sweep via
     /// [`SweepScratch::take_stats`].
     stats: SamplerStats,
@@ -336,7 +289,6 @@ impl SweepScratch {
             g: Vec::new(),
             link_rows: LinkRows::default(),
             occ: Vec::new(),
-            alias: Vec::new(),
             stats: SamplerStats::default(),
         }
     }
@@ -344,12 +296,6 @@ impl SweepScratch {
     /// Drain the accumulated sampler accounting.
     pub(crate) fn take_stats(&mut self) -> SamplerStats {
         std::mem::take(&mut self.stats)
-    }
-
-    /// Invalidate sweep-scoped state (the stale alias proposals).
-    fn begin_sweep(&mut self, n_communities: usize) {
-        self.alias.clear();
-        self.alias.resize_with(n_communities, || None);
     }
 
     /// Start author `u`'s block of documents: its friendship partner
@@ -538,9 +484,6 @@ pub(crate) fn sweep_user_docs<S: DeltaSink>(
     sink: &mut S,
     scratch: &mut SweepScratch,
 ) {
-    // One call = one sweep over this worker's users: the stale alias
-    // proposals expire here ("refreshed per sweep").
-    scratch.begin_sweep(state.n_communities);
     for &u in users {
         scratch.begin_author(ctx.graph, u);
         for d in ctx.graph.docs_of(UserId(u)) {
@@ -604,7 +547,6 @@ fn sample_topic<S: DeltaSink>(
     let z_new = match ctx.config.sampler {
         SamplerKind::Dense => topic_draw_dense(ctx, state, d, c, rng, phase, scratch),
         SamplerKind::Exact => topic_draw_exact(ctx, state, d, c, rng, phase, scratch),
-        SamplerKind::AliasMh => topic_draw_alias_mh(ctx, state, d, c, z_old, rng, phase, scratch),
     };
 
     state.doc_topic[d] = z_new as u32;
@@ -745,88 +687,6 @@ fn topic_draw_exact(
     sample_log_index_mut(rng, lw)
 }
 
-/// [`SamplerKind::AliasMh`] topic draw: propose from the stale
-/// per-community alias table over `n_cz + α`, correct with
-/// [`MH_STEPS`] Metropolis–Hastings steps against the exact target
-/// (live counts, cached logarithms). O(`MH_STEPS`·|doc|) instead of
-/// O(|Z|·|doc|).
-#[allow(clippy::too_many_arguments)]
-fn topic_draw_alias_mh(
-    ctx: &SweepContext<'_>,
-    state: &CpdState,
-    d: usize,
-    c: usize,
-    z_old: usize,
-    rng: &mut StdRng,
-    phase: SweepPhase,
-    scratch: &mut SweepScratch,
-) -> usize {
-    let doc = &ctx.graph.docs()[d];
-    let z_n = state.n_topics;
-    let tab = ctx.tables;
-    let SweepScratch {
-        occ, alias, stats, ..
-    } = scratch;
-
-    // Lazily (re)build this community's proposal: first touch in the
-    // current sweep snapshots the n_cz row. Later draws in the sweep
-    // keep proposing from this snapshot — the MH correction absorbs the
-    // staleness.
-    if alias[c].is_none() {
-        let t0 = Instant::now();
-        let weights: Vec<f64> = (0..z_n)
-            .map(|z| state.n_cz(c * z_n + z) as f64 + ctx.alpha)
-            .collect();
-        let ln_w: Vec<f64> = (0..z_n)
-            .map(|z| tab.ln_alpha.at(state.n_cz(c * z_n + z)))
-            .collect();
-        alias[c] = Some(AliasProposal {
-            table: AliasTable::new(&weights),
-            ln_w,
-        });
-        stats.alias_build_seconds += t0.elapsed().as_secs_f64();
-    }
-    let prop = alias[c].as_ref().expect("proposal just ensured");
-
-    let use_links = topic_links_active(ctx, phase);
-    let len = doc.words.len();
-    // Exact target log-weight at a single candidate, from live counts.
-    let target = |z: usize| -> f64 {
-        let mut lp = tab.ln_alpha.at(state.n_cz(c * z_n + z));
-        for (k, w) in doc.words.iter().enumerate() {
-            let n = state.word_topic.get(CpdState::zw_slot(z_n, w.index(), z));
-            lp += tab.word_num.at(n, occ[k] as usize);
-        }
-        let n_z = state.word_topic.marginal(z);
-        for j in 0..len {
-            lp -= tab.word_den.at(n_z, j);
-        }
-        if use_links {
-            lp += topic_diffusion_at(ctx, state, d, c, z);
-        }
-        lp
-    };
-
-    let mut z_cur = z_old;
-    let mut lp_cur = target(z_cur);
-    for _ in 0..MH_STEPS {
-        stats.mh_proposals += 1;
-        let z_prop = prop.table.sample(rng);
-        if z_prop == z_cur {
-            stats.mh_accepts += 1;
-            continue;
-        }
-        let lp_prop = target(z_prop);
-        let ln_a = (lp_prop - prop.ln_w[z_prop]) - (lp_cur - prop.ln_w[z_cur]);
-        if ln_a >= 0.0 || rng.gen::<f64>() < ln_a.exp() {
-            z_cur = z_prop;
-            lp_cur = lp_prop;
-            stats.mh_accepts += 1;
-        }
-    }
-    z_cur
-}
-
 /// Add the diffusion-link terms to every topic candidate in `lw`.
 /// Links where this document is the *diffused* source carry its topic;
 /// links where it is the diffuser carry the other end's topic and do
@@ -873,51 +733,6 @@ fn add_topic_diffusion_terms(
             *l += ln_psi(ctx.dot_nu(&x), delta);
         }
     }
-}
-
-/// Diffusion-link contribution for a *single* topic candidate — the
-/// scalar companion of [`add_topic_diffusion_terms`] used by the MH
-/// target evaluations.
-fn topic_diffusion_at(
-    ctx: &SweepContext<'_>,
-    state: &CpdState,
-    d: usize,
-    c: usize,
-    z: usize,
-) -> f64 {
-    let doc = &ctx.graph.docs()[d];
-    let z_n = state.n_topics;
-    let mut out = 0.0f64;
-    for &lid in ctx.graph.diffusion_links_of(DocId(d as u32)) {
-        let lm = &ctx.links[lid as usize];
-        if lm.dst_doc as usize != d {
-            continue;
-        }
-        let delta = state.delta[lid as usize];
-        let diffuser_doc = lm.src_doc as usize;
-        let ck = state.doc_community[diffuser_doc] as usize;
-        let uk = lm.src_author as usize;
-        let pi_pair = state.pi_hat(uk, ck, ctx.rho) * state.pi_hat(doc.author.index(), c, ctx.rho);
-        let mut x = [0.0f64; N_FEATURES];
-        ctx.features.fill_static(
-            &mut x,
-            UserId(lm.src_author),
-            UserId(lm.dst_author),
-            ctx.config.individual_factor,
-        );
-        let s = ctx.eta.at(ck, c, z)
-            * state.theta_hat(ck, z, ctx.alpha)
-            * state.theta_hat(c, z, ctx.alpha)
-            * pi_pair;
-        x[F_COMMUNITY] = community_feature(s, state.n_communities, z_n);
-        x[F_TOPIC_POP] = if ctx.config.topic_factor {
-            state.topic_popularity(lm.at as usize, z)
-        } else {
-            0.0
-        };
-        out += ln_psi(ctx.dot_nu(&x), delta);
-    }
-    out
 }
 
 // --- Community resampling (Eq. 14) --------------------------------------
@@ -971,10 +786,7 @@ fn sample_community<S: DeltaSink>(
                 }
             }
         }
-        // AliasMh keeps the exact cached path for communities: the
-        // community conditional is dominated by the link terms below,
-        // so a stale prior proposal would buy little and mix worse.
-        SamplerKind::Exact | SamplerKind::AliasMh => {
+        SamplerKind::Exact => {
             let tab = ctx.tables;
             // User-community prior, sparsely: ln(ρ) everywhere,
             // corrected at the nonzero entries of the n_uc row.

@@ -84,10 +84,9 @@ pub struct FitDiagnostics {
     /// Resident bytes of the three count planes (4 bytes per slot).
     pub plane_bytes: PlaneFootprint,
     /// Sampler accounting per document sweep (merged across workers):
-    /// alias-table rebuild seconds, MH proposal/accept tallies, and
-    /// sparse-row occupancy — the provenance data behind the hot-path
-    /// speedup (use [`SamplerStats::acceptance_rate`] and
-    /// [`SamplerStats::avg_row_occupancy`]).
+    /// the sparse-row tallies of the `Exact` draws, the provenance of
+    /// its hot-path speedup (see [`SamplerStats::avg_row_occupancy`]).
+    /// `Dense` scans no row sparsely and leaves them at zero.
     pub sampler_stats: Vec<SamplerStats>,
     /// Total wall-clock seconds.
     pub total_seconds: f64,
@@ -115,15 +114,12 @@ struct FitMetrics {
     fold_span: Histogram,
     mstep_eta_span: Histogram,
     mstep_nu_span: Histogram,
-    alias_span: Histogram,
     pg_lambda_span: Histogram,
     pg_delta_span: Histogram,
     /// `cpd_fit_sweeps_total`.
     sweeps: Counter,
     /// `cpd_fit_changed_docs_total`.
     changed_docs: Counter,
-    mh_proposals: Counter,
-    mh_accepts: Counter,
     /// `cpd_fit_em_iteration` — completed outer EM iterations.
     em_iteration: Gauge,
 }
@@ -143,7 +139,6 @@ impl FitMetrics {
             fold_span: span("fold"),
             mstep_eta_span: span("mstep_eta"),
             mstep_nu_span: span("mstep_nu"),
-            alias_span: span("alias_rebuild"),
             pg_lambda_span: span("pg_lambda"),
             pg_delta_span: span("pg_delta"),
             sweeps: r.counter("cpd_fit_sweeps_total", "Document sweeps executed", &[]),
@@ -152,31 +147,12 @@ impl FitMetrics {
                 "Documents whose assignment changed, summed over sweeps",
                 &[],
             ),
-            mh_proposals: r.counter(
-                "cpd_fit_mh_proposals_total",
-                "Metropolis-Hastings topic proposals made (AliasMh sampler)",
-                &[],
-            ),
-            mh_accepts: r.counter(
-                "cpd_fit_mh_accepts_total",
-                "Metropolis-Hastings topic proposals accepted (AliasMh sampler)",
-                &[],
-            ),
             em_iteration: r.gauge(
                 "cpd_fit_em_iteration",
                 "Completed outer EM iterations of the current fit",
                 &[],
             ),
         }
-    }
-
-    /// Record the per-sweep sampler accounting (all runtimes).
-    fn record_sampler(&self, s: &SamplerStats) {
-        if s.alias_build_seconds > 0.0 {
-            self.alias_span.record_secs(s.alias_build_seconds);
-        }
-        self.mh_proposals.add(s.mh_proposals);
-        self.mh_accepts.add(s.mh_accepts);
     }
 }
 
@@ -191,7 +167,6 @@ fn record_pool_sweep(
     if let Some(m) = metrics {
         m.fold_span.record_secs(stats.merge_seconds);
         m.changed_docs.add(stats.changed_docs as u64);
-        m.record_sampler(&stats.sampler);
     }
     diagnostics.last_thread_seconds = stats.thread_seconds;
     diagnostics.merge_seconds.push(stats.merge_seconds);
@@ -428,9 +403,6 @@ impl Cpd {
                                     sweep_counter,
                                 );
                                 diagnostics.last_thread_seconds = thread_seconds;
-                                if let Some(m) = &metrics {
-                                    m.record_sampler(&sampler);
-                                }
                                 diagnostics.sampler_stats.push(sampler);
                             }
                             None => {
@@ -443,11 +415,7 @@ impl Cpd {
                                     &mut NoDelta,
                                     scratch,
                                 );
-                                let sampler = scratch.take_stats();
-                                if let Some(m) = &metrics {
-                                    m.record_sampler(&sampler);
-                                }
-                                diagnostics.sampler_stats.push(sampler);
+                                diagnostics.sampler_stats.push(scratch.take_stats());
                             }
                         }
                     }
@@ -840,6 +808,39 @@ mod tests {
         let events = registry.events();
         assert!(events.iter().any(|e| e.kind == "fit_start"));
         assert!(events.iter().any(|e| e.kind == "fit_done"));
+    }
+
+    /// Every trainer series a default fit exports moves: no span count
+    /// and no counter renders at zero. Two threads, because a serial
+    /// fit has no fold and tallies no changed documents.
+    #[test]
+    fn default_fit_exports_no_dead_series() {
+        let (g, _) = generate(&GenConfig::twitter_like(Scale::Tiny));
+        let registry = Arc::new(Registry::new());
+        Cpd::new(CpdConfig {
+            em_iters: 2,
+            gibbs_sweeps: 2,
+            threads: Some(2),
+            ..quick_config(7)
+        })
+        .unwrap()
+        .with_telemetry(Arc::clone(&registry))
+        .fit(&g);
+        let text = registry.render_prometheus();
+        let tallies: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("cpd_fit_"))
+            .filter(|l| {
+                let name = l.split(['{', ' ']).next().unwrap_or_default();
+                name.ends_with("_count") || name.ends_with("_total")
+            })
+            .collect();
+        assert!(
+            tallies.contains(&"cpd_fit_sweeps_total 4"),
+            "2 EM iterations x 2 sweeps, got {tallies:?}"
+        );
+        let dead: Vec<&str> = tallies.into_iter().filter(|l| l.ends_with(" 0")).collect();
+        assert!(dead.is_empty(), "series that never moved: {dead:?}");
     }
 
     /// A traced fit records a `fit` span parented where the caller

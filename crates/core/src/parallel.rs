@@ -503,8 +503,8 @@ struct WorkerReply {
     delta: CountDelta,
     busy_secs: f64,
     sync_secs: f64,
-    /// This worker's sampler accounting for the sweep (alias rebuilds,
-    /// MH acceptance, sparse-row occupancy).
+    /// This worker's sampler accounting for the sweep (sparse-row
+    /// occupancy).
     sampler: SamplerStats,
 }
 

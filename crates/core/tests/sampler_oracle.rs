@@ -1,7 +1,6 @@
-//! Draw-for-draw oracles and statistical equivalence for the
-//! skew-aware sampler (`SamplerKind`).
+//! Draw-for-draw oracles for the skew-aware sampler (`SamplerKind`).
 //!
-//! Three tiers of guarantee, matching `gibbs.rs`'s module docs:
+//! Two tiers of guarantee, matching `gibbs.rs`'s module docs:
 //!
 //! * **`Exact` is bit-identical to the pre-refactor sampler.** The
 //!   `GOLDEN_*` fingerprints below are FNV-1a hashes of the full
@@ -12,16 +11,9 @@
 //! * **`Dense` is the live oracle.** It keeps the original dense
 //!   `ln()` math verbatim, so it must match the same fingerprints and
 //!   stay draw-identical to `Exact` on full fits.
-//! * **`AliasMh` is statistically equivalent.** Its topic draws go
-//!   through a stale alias proposal with Metropolis–Hastings
-//!   correction, so draws differ but the stationary distribution does
-//!   not: community recovery and content perplexity must land in the
-//!   same regime as `Exact` (the tolerances `recovery.rs` grants
-//!   approximate-parallel Gibbs).
 
 use cpd_core::{Cpd, CpdConfig, ParallelRuntime, SamplerKind};
 use cpd_datagen::{generate, GenConfig, Scale};
-use cpd_eval::{nmi, perplexity::content_profile_perplexity};
 
 /// FNV-1a over assignment vectors — the exact hash the pre-refactor
 /// fingerprints were captured with.
@@ -171,92 +163,4 @@ fn default_runtime_is_delta_sharded() {
     assert_eq!(explicit.diagnostics.runtime, ParallelRuntime::DeltaSharded);
     assert_eq!(default.model.doc_community, explicit.model.doc_community);
     assert_eq!(default.model.doc_topic, explicit.model.doc_topic);
-}
-
-/// Fit NMI against the planted communities and content perplexity of
-/// the training documents.
-fn quality(
-    g: &social_graph::SocialGraph,
-    truth: &cpd_datagen::GroundTruth,
-    cfg: CpdConfig,
-) -> (f64, f64, cpd_core::FitDiagnostics) {
-    let fit = Cpd::new(cfg).unwrap().fit(g);
-    let score = nmi(&fit.model.dominant_communities(), &truth.dominant_community);
-    let perp =
-        content_profile_perplexity(g.docs(), &fit.model.pi, &fit.model.theta, &fit.model.phi)
-            .expect("corpus has tokens");
-    (score, perp, fit.diagnostics)
-}
-
-/// The statistical-equivalence claim for the alias-backed sampler:
-/// serially and at 2 threads, `AliasMh` recovers the planted
-/// communities and models the corpus as well as `Exact` — within the
-/// tolerance the repo already grants approximate-parallel Gibbs — and
-/// its MH chain actually ran with a healthy acceptance rate.
-#[test]
-fn alias_mh_matches_exact_quality() {
-    let gen = GenConfig::twitter_like(Scale::Tiny);
-    let (g, truth) = generate(&gen);
-    for threads in [None, Some(2)] {
-        let cfg = |sampler| CpdConfig {
-            threads,
-            seed: 13,
-            sampler,
-            ..CpdConfig::experiment(gen.n_communities, gen.n_topics)
-        };
-        let (nmi_exact, perp_exact, _) = quality(&g, &truth, cfg(SamplerKind::Exact));
-        let (nmi_mh, perp_mh, diag) = quality(&g, &truth, cfg(SamplerKind::AliasMh));
-        assert!(
-            (nmi_exact - nmi_mh).abs() < 0.35,
-            "threads={threads:?}: NMI exact {nmi_exact} vs alias-MH {nmi_mh}"
-        );
-        assert!(
-            nmi_mh > 0.3,
-            "threads={threads:?}: alias-MH recovery collapsed to NMI {nmi_mh}"
-        );
-        assert!(
-            perp_mh.is_finite() && perp_mh > 1.0 && perp_mh < 400.0,
-            "threads={threads:?}: degenerate perplexity {perp_mh}"
-        );
-        assert!(
-            perp_mh < perp_exact * 1.3 + 2.0,
-            "threads={threads:?}: perplexity exact {perp_exact} vs alias-MH {perp_mh}"
-        );
-        // The proposal/accept accounting reached the diagnostics.
-        let stats =
-            diag.sampler_stats
-                .iter()
-                .fold(cpd_core::SamplerStats::default(), |mut acc, s| {
-                    acc.merge(s);
-                    acc
-                });
-        assert!(stats.mh_proposals > 0, "MH chain never proposed");
-        let rate = stats.acceptance_rate().expect("proposals were made");
-        assert!(
-            rate > 0.05 && rate <= 1.0,
-            "threads={threads:?}: implausible MH acceptance rate {rate}"
-        );
-        assert!(
-            stats.alias_build_seconds >= 0.0 && stats.alias_build_seconds.is_finite(),
-            "alias rebuild timer is broken"
-        );
-    }
-}
-
-/// Alias-MH is still seed-deterministic serially (one RNG stream, one
-/// chain order).
-#[test]
-fn alias_mh_is_deterministic_for_seed() {
-    let gen = GenConfig::twitter_like(Scale::Tiny);
-    let (g, _) = generate(&gen);
-    let cfg = CpdConfig {
-        seed: 31,
-        sampler: SamplerKind::AliasMh,
-        ..CpdConfig::experiment(gen.n_communities, gen.n_topics)
-    };
-    let a = Cpd::new(cfg.clone()).unwrap().fit(&g);
-    let b = Cpd::new(cfg).unwrap().fit(&g);
-    assert_eq!(a.model.doc_community, b.model.doc_community);
-    assert_eq!(a.model.doc_topic, b.model.doc_topic);
-    assert_eq!(a.model.nu, b.model.nu);
 }
