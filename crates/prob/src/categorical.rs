@@ -122,10 +122,18 @@ pub fn prepare_log_weights(log_weights: &mut [f64]) -> Option<f64> {
 /// any number of times on one prepared buffer.
 #[inline]
 pub fn draw_prepared<R: Rng + ?Sized>(rng: &mut R, weights: &[f64], total: Option<f64>) -> usize {
-    let Some(total) = total else {
-        return rng.gen_range(0..weights.len());
-    };
-    let mut u = rng.gen::<f64>() * total;
+    match total {
+        Some(total) => scan_prepared(weights, total, rng.gen::<f64>()),
+        None => rng.gen_range(0..weights.len()),
+    }
+}
+
+/// The scan of [`draw_prepared`] for a given uniform `r ∈ [0, 1)`:
+/// subtract the prepared `weights` in index order from `r · total` and
+/// return the first index at which the remainder is no longer positive.
+#[inline]
+pub fn scan_prepared(weights: &[f64], total: f64, r: f64) -> usize {
+    let mut u = r * total;
     for (i, &w) in weights.iter().enumerate() {
         u -= w;
         if u <= 0.0 {
@@ -137,6 +145,148 @@ pub fn draw_prepared<R: Rng + ?Sized>(rng: &mut R, weights: &[f64], total: Optio
         .iter()
         .rposition(|&w| w > 0.0)
         .unwrap_or(weights.len() - 1)
+}
+
+/// Which weights decided a [`sample_log_index_certified`] draw.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DrawPath {
+    /// The approximate weights, under the certificate.
+    Certified,
+    /// The exact weights, computed and scanned.
+    Exact,
+}
+
+/// Unit roundoff of `f64`: half an ulp of 1, so `fl(x) = x(1 + δ)` with
+/// `|δ| ≤ UNIT_ROUNDOFF` for every rounded operation that stays normal.
+const UNIT_ROUNDOFF: f64 = f64::EPSILON / 2.0;
+
+/// Draw the index [`sample_log_index_mut`] would draw from the exact
+/// log weights, given approximate ones in `log_weights` within `delta`
+/// of them, and `exact`, which overwrites the buffer with the exact log
+/// weights. The exact weights are computed only when the approximate
+/// ones cannot decide the draw.
+///
+/// The exact draw reads its weights only through which prefix sum its
+/// one uniform `r` falls under. So the approximate weights decide it
+/// unless `r` lands within their error of a prefix boundary, and there
+/// `exact` is called and scanned ([`scan_prepared`]) with the same `r`.
+/// The RNG advances exactly as in the exact draw, which is also run,
+/// before any uniform is taken, when `delta` is negative or not finite
+/// or an approximate weight is not finite.
+///
+/// # The certificate
+///
+/// Let `l_i` be the exact log weights, `a_i` the approximate ones with
+/// `|a_i − l_i| ≤ Δ`, `u = 2⁻⁵³` the unit roundoff, and `n` the length.
+/// Assume `exp` is within one ulp of `eˣ`, as glibc's and musl's are.
+/// The exact draw computes `ŵ_i = exp(l_i − m)` with `m = max l`, the
+/// in-order sum `T̂`, `s₋₁ = r·T̂`, and `s_j = s_{j−1} − ŵ_j`, all
+/// rounded, and returns the first `j` with `s_j ≤ 0`. This function
+/// computes the same from `a_i`: `v̂_i`, the prefix sums `Â_j`
+/// (`Â = Â_{n−1}`), `G = Σ_j Â_j` and `t = r·Â`, and takes the first
+/// `k` with `Â_k ≥ t`. It returns
+/// `k` when `Â_k − t ≥ M(k)` and, for `k > 0`, `t − Â_{k−1} > M(k−1)`:
+/// then `s_k ≤ 0 < s_{k−1}`, so the exact draw returns `k` too. With
+/// `D = Δ + 1500u`, certifying only when `D ≤ 1`,
+///
+/// ```text
+/// M(j) = grow · ( (j+1)·u·Â                       exact subtraction scan
+///               + 2.02·u·t                        r·T̂ and r·Â
+///               + (2 + e^{2D})·u·G                 both in-order sums
+///               + (e^{2D} − 1)·(Â_j + E)(Â − Â_j + 2E)/(Â − E) )
+/// E = u·G·grow,   grow = 1 + 16(n+1)u
+/// ```
+///
+/// where each term bounds, in units of `Â`, one way the exact path's
+/// decision `s_j ≤ 0`, that is `r(1 + ·)T̂ − Σ_{i≤j} ŵ_i + err ≤ 0`,
+/// can differ from `t ≤ Â_j`:
+///
+/// * *Exact subtraction scan.* Each of the `j + 1` subtractions rounds
+///   by at most `u` times an operand, and operands are at most `T̂`.
+/// * *Products.* `r·T̂` and `r·Â` each round by at most `u`.
+/// * *Sums.* In-order summation errs by at most `u·Σ_j (prefix_j)`;
+///   this path's prefix sums give `G` for its own `Â_j` and `Â`, and
+///   the exact path's prefix sums are within `e^{2D}` of them.
+/// * *Weights.* In either path `exp(fl(x))` is `eˣ·e^{±747.1u}` plus at
+///   most the subnormal ulp `2⁻¹⁰⁷⁴`: for `x ≥ −745` the shift
+///   `fl(l_i − m)` errs by `u·|x|` and `exp` by one ulp, and below both
+///   values are under `2⁻¹⁰⁷⁴`. The shifts differ by `m − max a`, a
+///   factor common to all weights, so `ŵ_i` is a common factor times
+///   `v̂_i·e^{±D}` up to `2⁻¹⁰⁶⁹` of underflow slack. Moving every
+///   weight by `e^{±D}` moves a normalised prefix `q` by at most
+///   `(e^{2D} − 1)·q(1 − q)`: the last term, with this path's own sum
+///   errors `E` added. It vanishes where a boundary has almost no mass
+///   on one side, which leaves the rounding terms.
+///
+/// `grow` covers the second-order products of these terms (each at most
+/// `8(n+1)u` of a first-order one when `D ≤ 1`), the rounding in
+/// evaluating `M` and `Â_k − t`, and the underflow slack, which is below
+/// `2⁻¹⁰⁰⁰` of any `M` (every `M ≥ u·Â ≥ u`).
+///
+/// # Panics
+///
+/// On empty `log_weights`, and when a rescan finds no finite exact
+/// weight although the approximate ones are finite, which breaks the
+/// `delta` bound.
+pub fn sample_log_index_certified<R: Rng + ?Sized>(
+    rng: &mut R,
+    log_weights: &mut [f64],
+    delta: f64,
+    exact: impl FnOnce(&mut [f64]),
+) -> (usize, DrawPath) {
+    assert!(!log_weights.is_empty());
+    let mut m = f64::NEG_INFINITY;
+    let mut finite = delta.is_finite() && delta >= 0.0;
+    for &a in log_weights.iter() {
+        finite &= a.is_finite();
+        m = m.max(a);
+    }
+    if !finite {
+        exact(log_weights);
+        return (sample_log_index_mut(rng, log_weights), DrawPath::Exact);
+    }
+    // The approximate weights' prefix sums, in place, and their sum.
+    let (mut total, mut prefix_total) = (0.0, 0.0);
+    for a in log_weights.iter_mut() {
+        total += (*a - m).exp();
+        *a = total;
+        prefix_total += total;
+    }
+    let r: f64 = rng.gen();
+    if let Some(k) = certify(log_weights, total, prefix_total, r, delta) {
+        return (k, DrawPath::Certified);
+    }
+    exact(log_weights);
+    let total = prepare_log_weights(log_weights)
+        .expect("exact log weights within a finite delta of finite ones have a finite maximum");
+    (scan_prepared(log_weights, total, r), DrawPath::Exact)
+}
+
+/// The index `r` selects from `prefix` (the prefix sums of the
+/// approximate weights, `total` the last and `prefix_total` their sum),
+/// if the certificate of [`sample_log_index_certified`] shows the exact
+/// draw selects it too.
+#[inline]
+fn certify(prefix: &[f64], total: f64, prefix_total: f64, r: f64, delta: f64) -> Option<usize> {
+    let u = UNIT_ROUNDOFF;
+    let d = delta + 1500.0 * u;
+    if d > 1.0 {
+        return None;
+    }
+    let grow = 1.0 + 16.0 * (prefix.len() + 1) as f64 * u;
+    let t = r * total;
+    let k = prefix.partition_point(|&p| p < t);
+    let e2d = (2.0 * d).exp();
+    let spread = (2.0 * d).exp_m1();
+    let sums = (2.0 + e2d) * u * prefix_total;
+    let own = u * prefix_total * grow;
+    let margin = |j: usize| {
+        let a_j = prefix[j];
+        let mix = spread * (a_j + own) * ((total - a_j) + 2.0 * own) / (total - own);
+        grow * ((j + 1) as f64 * u * total + 2.02 * u * t + sums + mix)
+    };
+    let above = k == 0 || t - prefix[k - 1] > margin(k - 1);
+    (above && prefix[k] - t >= margin(k)).then_some(k)
 }
 
 /// Precomputed cumulative weights; O(log n) draws by binary search.

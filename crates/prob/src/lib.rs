@@ -30,7 +30,8 @@ pub mod zipf;
 
 pub use categorical::{
     draw_prepared, exp_shift_total, prepare_log_weights, sample_index, sample_log_index,
-    sample_log_index_mut, AliasTable, CumulativeTable,
+    sample_log_index_certified, sample_log_index_mut, scan_prepared, AliasTable, CumulativeTable,
+    DrawPath,
 };
 pub use dirichlet::{sample_dirichlet, sample_symmetric_dirichlet};
 pub use logcache::{LogCountCache, LogShiftCache};

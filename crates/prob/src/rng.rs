@@ -7,8 +7,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Create a seeded RNG. `StdRng` (ChaCha-based) is the workspace-wide
-/// generator: statistically solid and `Send`, which the parallel E-step needs.
+/// Create a seeded RNG. `StdRng` (the vendored xoshiro256++) is the
+/// workspace-wide generator: statistically solid and `Send`, which the
+/// parallel E-step needs.
 pub fn seeded_rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
 }

@@ -44,20 +44,7 @@
 //!   `ln θ_{c,·}`, which depends only on `(d, c_d)`;
 //! * for a single-document item, the whole community conditional
 //!   (friendship terms included): with its only document removed the
-//!   item's counts are all zero, so it depends only on the new topic;
-//! * for an item with several documents and friends, each friend's
-//!   Eq. 14 terms `ln max(σ((s_v + π_vc) / (D + |C|ρ)), MIN_POSITIVE)`
-//!   for every community, with `s_v = Σ_c (n_uc + ρ) π_vc`. They read
-//!   no chain state but the item's community counts `n_uc` with the
-//!   current document removed — not the new topic — so they are kept
-//!   per `n_uc` row, `friends × |C|` cells stored friend-major, and
-//!   found again through a flat hash table over the row that a full
-//!   row compare confirms. Each draw then rebuilds
-//!   `ln(n_uc + ρ) + ln θ_{c,z}` and adds the kept terms friend by
-//!   friend. That friendship term is most of a user fold-in's work: it
-//!   costs one `exp` and one `ln` per (friend, community) for each
-//!   distinct `n_uc` state the chain reaches, rather than on every
-//!   draw.
+//!   item's counts are all zero, so it depends only on the new topic.
 //!
 //! A kept conditional is stored as the shifted weights and total that
 //! [`prepare_log_weights`] made of it, and each draw scans them with
@@ -66,10 +53,7 @@
 //! same floating-point expression on the same operands as the one it
 //! replaces, and a draw consumes one uniform (or one `gen_range` when
 //! no weight is finite) exactly as the one-shot sampler does, so the
-//! RNG stream, every draw and every profile are unchanged. Kept
-//! friendship terms are added to each weight in the same friend order
-//! as when they were computed in place, so every weight is the same
-//! sequence of additions on the same operands.
+//! RNG stream, every draw and every profile are unchanged.
 //!
 //! The memos are reset per item, so nothing carries over between items
 //! sharing a scratch, and together they keep at most a fixed number of
@@ -78,17 +62,46 @@
 //! from without being kept — the same arithmetic, so still bit-exact —
 //! which bounds a scratch's memory by the item's shape rather than by
 //! how many states its chain visits.
+//!
+//! # The friendship term, certified
+//!
+//! An item with several documents and friends draws each community
+//! from a conditional that changes with its counts `n_uc` (the current
+//! document removed): the prior `ln(n_uc + ρ) + ln θ_{c,z}` plus, friend
+//! by friend, Eq. 14's terms `ln max(σ((s_v + π_vc) / (D + |C|ρ)),
+//! MIN_POSITIVE)` for every community, with `s_v = Σ_c (n_uc + ρ) π_vc`.
+//! Those terms are most of a user fold-in's work, and the chain reaches
+//! a new `n_uc` state on most of its draws, so keeping them per state
+//! saves little. Instead each draw builds the conditional with every
+//! term from a table of `ln σ` with linear interpolation (spacing
+//! `2⁻¹⁰` on `[0, 2)`, where every term of a model with normalised
+//! membership rows falls; the exact expression elsewhere), whose error
+//! is at most `2⁻²⁵ + 2⁻⁴⁰` per term, so each weight is within
+//! `friends × (2⁻²⁵ + 2⁻⁴⁰)` of the exact one, plus the rounding of the
+//! two sums. [`sample_log_index_certified`] draws from it: it returns
+//! the index the exact conditional's draw would return whenever that
+//! bound separates the uniform from the neighbouring prefix sums, and
+//! otherwise computes the exact conditional and scans it with the same
+//! uniform. So every draw, the RNG stream and every profile are those
+//! of the exact conditional, bit for bit; on the repository benchmark's
+//! users fewer than one draw in 10⁵ rescans. A user fold-in then costs
+//! one table lookup per (friend, community) and one `exp` per community
+//! for each draw. [`FoldScratch::take_friend_draws`] counts both paths.
+//! A docless user's answer is made of the `ln σ` values themselves, so
+//! it and the single-document memo keep the exact expression.
 
 use crate::index::ProfileIndex;
 use cpd_core::features::{community_feature, F_ACT_V, F_COMMUNITY, F_POP_V, F_TOPIC_POP};
 use cpd_core::features::{UserFeatures, N_FEATURES};
 use cpd_core::{exp_shift_max, membership_link_score, soft_community_factor};
 use cpd_prob::categorical::{draw_prepared, prepare_log_weights, sample_log_index_mut};
+use cpd_prob::categorical::{sample_log_index_certified, DrawPath};
 use cpd_prob::rng::child_rng;
 use cpd_prob::special::sigmoid;
 use cpd_telemetry::ActiveTrace;
 use rand::Rng;
 use social_graph::{UserId, WordId};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Fold-in sampler settings.
@@ -278,8 +291,6 @@ pub struct FoldScratch {
     topic_memo: DrawMemo,
     /// A single-document item's community conditional per topic.
     comm_memo: DrawMemo,
-    /// A multi-document item's friendship terms per `n_uc` state.
-    friend_memo: FriendTermMemo,
     /// `f64` cells the memos may still keep for the current item.
     memo_cells_left: usize,
     /// User-local community counts `n_uc` (`C`).
@@ -291,6 +302,9 @@ pub struct FoldScratch {
     pi_acc: Vec<f64>,
     mix_acc: Vec<f64>,
     doc_topic_acc: Vec<f64>,
+    /// Community draws with friends since the last
+    /// [`FoldScratch::take_friend_draws`].
+    friend_draws: FriendDraws,
 }
 
 impl FoldScratch {
@@ -298,13 +312,31 @@ impl FoldScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// The community draws with friends this scratch's items made since
+    /// the last call, by the weights that decided them; resets them.
+    pub fn take_friend_draws(&mut self) -> FriendDraws {
+        std::mem::take(&mut self.friend_draws)
+    }
 }
 
-/// Most `f64` cells the memos of one item keep between them (256 KiB).
-/// The repository benchmark's user fold-ins (3 documents, 5 friends,
-/// `|C| = |Z| = 50`) need at most 90 × 250 friendship cells plus
-/// 90 × 50 topic cells, so they never reach it.
-const MEMO_BUDGET_CELLS: usize = 1 << 15;
+/// A count of the community draws of items with several documents and
+/// friends, by the conditional that decided each one (see the module
+/// docs, "The friendship term, certified").
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FriendDraws {
+    /// Decided by the bounded-error conditional.
+    pub certified: u64,
+    /// Decided by the exact conditional, computed and rescanned because
+    /// the bound could not separate the uniform from a prefix boundary.
+    pub exact: u64,
+}
+
+/// Most `f64` cells the memos of one item keep between them (64 KiB).
+/// The repository benchmark's user fold-ins (3 documents,
+/// `|C| = |Z| = 50`) keep at most 90 × 50 topic cells and its document
+/// fold-ins 2 × 50 × 50, so they never reach it.
+const MEMO_BUDGET_CELLS: usize = 1 << 13;
 
 /// One conditional family of a chain, keyed by the small discrete state
 /// it depends on: a key's log weights are computed and prepared
@@ -374,115 +406,6 @@ impl DrawMemo {
     }
 }
 
-/// Eq. 14's friendship terms of a multi-document item, kept per `n_uc`
-/// state (the item's community counts with the current document
-/// removed): row `r` holds the terms of every friend for every
-/// community, friend-major, for the counts in `keys` row `r`. States
-/// are found through `slots`, an open-addressed table of row indices
-/// hashed from the counts and confirmed by comparing the whole row.
-#[derive(Debug, Default)]
-struct FriendTermMemo {
-    /// Per slot: a row index plus one, or 0 when empty. A power of two
-    /// with more slots than the rows an item can keep, so every probe
-    /// ends at an empty slot.
-    slots: Vec<u32>,
-    /// Kept states' count rows, `c_n` cells each.
-    keys: Vec<u32>,
-    /// Kept terms, `friends · c_n` cells per row.
-    terms: Vec<f64>,
-    /// One friend's terms for a new state once the budget is spent;
-    /// empty until the item first needs it.
-    spill: Vec<f64>,
-    c_n: usize,
-    friends: usize,
-}
-
-impl FriendTermMemo {
-    /// Forget every state, sizing the table for the most rows an item
-    /// can keep: one per community draw, and no more than `cells` hold
-    /// (none for a friendless item).
-    fn reset(&mut self, c_n: usize, friends: usize, draws: usize, cells: usize) {
-        self.c_n = c_n;
-        self.friends = friends;
-        let rows = cells
-            .checked_div(friends * c_n)
-            .map_or(0, |rows| rows.min(draws));
-        refill(&mut self.slots, (2 * rows + 1).next_power_of_two(), 0);
-        self.keys.clear();
-        self.terms.clear();
-        self.spill.clear();
-    }
-
-    /// Add every friend's terms at counts `n_uc` to `lw`, friend by
-    /// friend. `fill(f, out)` writes friend `f`'s terms for every
-    /// community; it runs on the state's first visit, whose terms are
-    /// kept if `cells_left` has room for them.
-    #[inline]
-    fn add_terms(
-        &mut self,
-        n_uc: &[u32],
-        cells_left: &mut usize,
-        lw: &mut [f64],
-        mut fill: impl FnMut(usize, &mut [f64]),
-    ) {
-        let (c_n, row_len) = (self.c_n, self.friends * self.c_n);
-        let mask = self.slots.len() - 1;
-        let mut slot = row_hash(n_uc) as usize & mask;
-        let row = loop {
-            match self.slots[slot] {
-                0 if *cells_left < row_len => {
-                    self.spill.resize(c_n, 0.0);
-                    for f in 0..self.friends {
-                        fill(f, &mut self.spill);
-                        add_row(lw, &self.spill);
-                    }
-                    return;
-                }
-                0 => {
-                    *cells_left -= row_len;
-                    let row = self.keys.len() / c_n;
-                    self.keys.extend_from_slice(n_uc);
-                    self.terms.resize((row + 1) * row_len, 0.0);
-                    for (f, out) in self.terms[row * row_len..]
-                        .chunks_exact_mut(c_n)
-                        .enumerate()
-                    {
-                        fill(f, out);
-                    }
-                    self.slots[slot] = row as u32 + 1;
-                    break row;
-                }
-                kept => {
-                    let row = kept as usize - 1;
-                    if self.keys[row * c_n..(row + 1) * c_n] == *n_uc {
-                        break row;
-                    }
-                }
-            }
-            slot = (slot + 1) & mask;
-        };
-        for terms in self.terms[row * row_len..(row + 1) * row_len].chunks_exact(c_n) {
-            add_row(lw, terms);
-        }
-    }
-}
-
-/// FxHash-style hash of a count row.
-#[inline]
-fn row_hash(row: &[u32]) -> u64 {
-    row.iter().fold(0u64, |h, &n| {
-        (h.rotate_left(5) ^ u64::from(n)).wrapping_mul(0x517c_c1b7_2722_0a95)
-    })
-}
-
-/// `lw[c] += terms[c]` for every community.
-#[inline]
-fn add_row(lw: &mut [f64], terms: &[f64]) {
-    for (lw, &t) in lw.iter_mut().zip(terms) {
-        *lw += t;
-    }
-}
-
 /// Friend `v`'s half of Eq. 14's dot product at counts `n_uc`:
 /// `s_v = Σ_c (n_uc + ρ) π_vc`, summed in community order. A candidate
 /// community `c` adds `π_vc` (the `O(1)` incremental dot product).
@@ -495,12 +418,120 @@ fn friend_dot(pi_v: &[f64], n_uc: &[u32], rho: f64) -> f64 {
     s_v
 }
 
+/// Add Eq. 14's friendship terms at counts `n_uc` to `lw`, friend by
+/// friend.
+#[inline]
+fn add_friend_terms(
+    lw: &mut [f64],
+    index: &ProfileIndex,
+    friends: &[UserId],
+    n_uc: &[u32],
+    rho: f64,
+    denom_u: f64,
+) {
+    for &v in friends {
+        let pi_v = index.user_membership(v);
+        let s_v = friend_dot(pi_v, n_uc, rho);
+        for (lw, &pv) in lw.iter_mut().zip(pi_v) {
+            *lw += ln_friend_term(s_v, pv, denom_u);
+        }
+    }
+}
+
+/// [`add_friend_terms`] with every term from [`ln_friend_term_approx`],
+/// returning `Δ`: no weight is further than `Δ` from the one
+/// [`add_friend_terms`] makes from the same `lw`. Each term errs by at
+/// most [`LN_SIGMOID_ERR`], and each addition by at most an ulp of the
+/// largest partial sum in either path; terms are never positive, so
+/// every partial sum lies between a weight's value before and after.
+#[inline]
+fn add_friend_terms_approx(
+    lw: &mut [f64],
+    index: &ProfileIndex,
+    friends: &[UserId],
+    n_uc: &[u32],
+    rho: f64,
+    denom_u: f64,
+) -> f64 {
+    let table = ln_sigmoid_table();
+    let nodes_per_denom = LN_SIGMOID_PER_UNIT / denom_u;
+    let before = lw.iter().fold(0.0f64, |m, &l| m.max(l.abs()));
+    for &v in friends {
+        let pi_v = index.user_membership(v);
+        let s_v = friend_dot(pi_v, n_uc, rho);
+        for (lw, &pv) in lw.iter_mut().zip(pi_v) {
+            *lw += ln_friend_term_approx(table, s_v, pv, denom_u, nodes_per_denom);
+        }
+    }
+    let scale = lw.iter().fold(before, |m, &l| m.max(l.abs()));
+    friends.len() as f64 * (LN_SIGMOID_ERR + 2.0 * f64::EPSILON * scale)
+}
+
 /// Eq. 14's friendship term for one candidate community: the exact
-/// Bernoulli log likelihood `ln σ((s_v + π_vc) / denom_u)`, floored so
-/// an underflowed sigmoid cannot make every weight `-inf`.
+/// Bernoulli log likelihood `ln σ((s_v + π_vc) / denom_u)`.
 #[inline]
 fn ln_friend_term(s_v: f64, pi_vc: f64, denom_u: f64) -> f64 {
-    sigmoid((s_v + pi_vc) / denom_u).max(f64::MIN_POSITIVE).ln()
+    ln_sigmoid((s_v + pi_vc) / denom_u)
+}
+
+/// `ln σ(x)`, floored so an underflowed sigmoid cannot make every weight
+/// `-inf`.
+#[inline]
+fn ln_sigmoid(x: f64) -> f64 {
+    sigmoid(x).max(f64::MIN_POSITIVE).ln()
+}
+
+/// Nodes per unit of the `ln σ` table: spacing `h = 2⁻¹⁰`.
+const LN_SIGMOID_PER_UNIT: f64 = 1024.0;
+/// Intervals of the `ln σ` table, which covers `[0, 2)`. A friendship
+/// term's argument is at most 1 for a model whose membership rows sum
+/// to 1: `s_v + π_vc ≤ (D − 1 + ρ) + 1 ≤ D + |C|ρ`.
+const LN_SIGMOID_STEPS: usize = 2048;
+/// Most [`ln_friend_term_approx`] differs from [`ln_friend_term`]
+/// inside the table: `h²/8 · max|(ln σ)''| = 2⁻²⁰/32` for the
+/// interpolation, since `(ln σ)'' = −σ(x)σ(−x)` is at least `−1/4`,
+/// plus `2⁻⁴⁰` for rounding: of the nodes, the interpolation and the
+/// exact expression (a few ulps of values below 1 in magnitude), and of
+/// the argument, which the table reads as `(s_v + π_vc) · (1/h)/denom_u`
+/// rather than `(s_v + π_vc)/denom_u` (3 ulps of an argument below 2,
+/// through a slope `σ(−x)` of at most 1/2).
+const LN_SIGMOID_ERR: f64 = 1.0 / (1u64 << 25) as f64 + 1.0 / (1u64 << 40) as f64;
+
+/// `[ln σ(x_i), ln σ(x_{i+1}) − ln σ(x_i)]` at the nodes `x_i = i·h`,
+/// built once per process. Neighbouring nodes are within a factor of 2
+/// of each other, so each difference is exact.
+fn ln_sigmoid_table() -> &'static [[f64; 2]] {
+    static TABLE: OnceLock<Vec<[f64; 2]>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let node = |i: usize| ln_sigmoid(i as f64 / LN_SIGMOID_PER_UNIT);
+        (0..LN_SIGMOID_STEPS)
+            .map(|i| [node(i), node(i + 1) - node(i)])
+            .collect()
+    })
+}
+
+/// [`ln_friend_term`] within [`LN_SIGMOID_ERR`]: linear interpolation
+/// in `table` ([`ln_sigmoid_table`]) where the argument, read as
+/// `(s_v + π_vc) · nodes_per_denom` with `nodes_per_denom =
+/// LN_SIGMOID_PER_UNIT / denom_u`, is in `[0, 2)`, and
+/// [`ln_friend_term`] itself, bit for bit, anywhere else (NaN
+/// included). Never positive, like [`ln_friend_term`].
+#[inline]
+fn ln_friend_term_approx(
+    table: &[[f64; 2]],
+    s_v: f64,
+    pi_vc: f64,
+    denom_u: f64,
+    nodes_per_denom: f64,
+) -> f64 {
+    let scaled = (s_v + pi_vc) * nodes_per_denom;
+    if (0.0..LN_SIGMOID_STEPS as f64).contains(&scaled) {
+        let i = scaled as usize;
+        let [at, rise] = table[i];
+        at + (scaled - i as f64) * rise
+    } else {
+        ln_friend_term(s_v, pi_vc, denom_u)
+    }
 }
 
 /// Reset `buf` to `n` copies of `fill` without shrinking its allocation.
@@ -687,9 +718,6 @@ impl<'a> FoldIn<'a> {
         // counts are all zero, so its community conditional is a
         // function of the new topic alone.
         scratch.comm_memo.reset(if d_n == 1 { z_n } else { 0 }, c_n);
-        let draws = self.config.sweeps * d_n;
-        let friends = item.friends.len();
-        scratch.friend_memo.reset(c_n, friends, draws, memo_cells);
         scratch.memo_cells_left = memo_cells;
         let denom_u = d_n as f64 + c_n as f64 * rho;
         let mut samples = 0usize;
@@ -720,35 +748,30 @@ impl<'a> FoldIn<'a> {
                         *lw = ln_n_rho[n_uc[c] as usize] + idx.log_theta_row(c)[z_new];
                     }
                 };
+                // Eq. 14's exact conditional.
+                let exact = |lw: &mut [f64]| {
+                    prior(lw);
+                    add_friend_terms(lw, idx, &item.friends, n_uc, rho, denom_u);
+                };
                 let c_new = if d_n == 1 {
                     let cells_left = &mut scratch.memo_cells_left;
-                    scratch.comm_memo.draw(&mut rng, z_new, cells_left, |lw| {
-                        prior(lw);
-                        for &v in &item.friends {
-                            let pi_v = idx.user_membership(v);
-                            let s_v = friend_dot(pi_v, n_uc, rho);
-                            for (lw, &pv) in lw.iter_mut().zip(pi_v) {
-                                *lw += ln_friend_term(s_v, pv, denom_u);
-                            }
-                        }
-                    })
-                } else {
-                    prior(&mut scratch.lw_comm);
-                    if !item.friends.is_empty() {
-                        scratch.friend_memo.add_terms(
-                            n_uc,
-                            &mut scratch.memo_cells_left,
-                            &mut scratch.lw_comm,
-                            |f, out| {
-                                let pi_v = idx.user_membership(item.friends[f]);
-                                let s_v = friend_dot(pi_v, n_uc, rho);
-                                for (t, &pv) in out.iter_mut().zip(pi_v) {
-                                    *t = ln_friend_term(s_v, pv, denom_u);
-                                }
-                            },
-                        );
-                    }
+                    scratch.comm_memo.draw(&mut rng, z_new, cells_left, exact)
+                } else if item.friends.is_empty() {
+                    exact(&mut scratch.lw_comm);
                     sample_log_index_mut(&mut rng, &mut scratch.lw_comm)
+                } else {
+                    // The same sums from the `ln σ` table, drawn from by
+                    // the certified draw, which runs `exact` only when the
+                    // table's error could move the draw.
+                    let lw = &mut scratch.lw_comm;
+                    prior(lw);
+                    let delta = add_friend_terms_approx(lw, idx, &item.friends, n_uc, rho, denom_u);
+                    let (c, path) = sample_log_index_certified(&mut rng, lw, delta, exact);
+                    match path {
+                        DrawPath::Certified => scratch.friend_draws.certified += 1,
+                        DrawPath::Exact => scratch.friend_draws.exact += 1,
+                    }
+                    c
                 };
                 scratch.doc_c[d] = c_new as u32;
                 scratch.n_uc[c_new] += 1;
@@ -863,48 +886,103 @@ mod tests {
             .collect()
     }
 
-    /// The friendship-term memo on its own, through a table small
-    /// enough that states collide: every draw must add exactly its own
-    /// state's terms, in friend order, whether they are computed and
-    /// kept, found again, or computed past the budget.
+    /// [`ln_friend_term_approx`] against [`ln_friend_term`] as the draw
+    /// calls them, with `nodes_per_denom` from `denom_u`.
+    fn friend_term_error(s_v: f64, pi_vc: f64, denom_u: f64) -> f64 {
+        let table = ln_sigmoid_table();
+        let approx =
+            ln_friend_term_approx(table, s_v, pi_vc, denom_u, LN_SIGMOID_PER_UNIT / denom_u);
+        (approx - ln_friend_term(s_v, pi_vc, denom_u)).abs()
+    }
+
     #[test]
-    fn friend_memo_adds_the_terms_of_the_state_it_is_given() {
-        let (c_n, friends, draws) = (7, 3, 400);
-        // A distinct, full-mantissa value per (friend, state, community).
-        let term = |f: usize, n_uc: &[u32], c: usize| -> f64 {
-            let s: f64 = n_uc.iter().zip(1..).map(|(&n, k)| f64::from(n * k)).sum();
-            ((f * c_n + c + 2) as f64).ln() / (s + 1.5)
-        };
-        let mut rng = seeded_rng(0xF7E3);
-        let mut memo = FriendTermMemo::default();
-        for budget in [0, 10 * friends * c_n, MEMO_BUDGET_CELLS] {
-            memo.reset(c_n, friends, draws, budget);
-            let mut cells_left = budget;
-            let mut states = std::collections::HashSet::new();
-            for _ in 0..draws {
-                // Three documents' communities, so states repeat.
-                let mut n_uc = vec![0u32; c_n];
-                (0..3).for_each(|_| n_uc[rng.gen_range(0..c_n)] += 1);
-                states.insert(n_uc.clone());
-                let base: Vec<f64> = (0..c_n).map(|_| rng.gen::<f64>()).collect();
-                let mut want = base.clone();
-                for f in 0..friends {
-                    for (c, w) in want.iter_mut().enumerate() {
-                        *w += term(f, &n_uc, c);
-                    }
+    fn ln_sigmoid_table_stays_inside_its_bound() {
+        // Sixteen points per interval, at both ends of every node and
+        // one ulp either side of it; the interpolation error peaks
+        // mid-interval near 0, where |(ln σ)''| is largest.
+        let mut worst = 0.0f64;
+        for i in 0..LN_SIGMOID_STEPS * 16 {
+            let x = i as f64 / (16.0 * LN_SIGMOID_PER_UNIT);
+            for x in [x, f64::from_bits(x.to_bits() + 1), x.next_down().max(0.0)] {
+                for (s_v, pi_vc, denom_u) in [(x, 0.0, 1.0), (3.0 * x, 0.0, 3.0)] {
+                    let err = friend_term_error(s_v, pi_vc, denom_u);
+                    assert!(err <= LN_SIGMOID_ERR, "x {x}: error {err:e}");
+                    worst = worst.max(err);
                 }
-                let mut got = base;
-                memo.add_terms(&n_uc, &mut cells_left, &mut got, |f, out| {
-                    for (c, t) in out.iter_mut().enumerate() {
-                        *t = term(f, &n_uc, c);
-                    }
-                });
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&got), bits(&want), "budget {budget}, counts {n_uc:?}");
             }
-            // The first states reached are kept, as many as fit.
-            let rows = states.len().min(budget / (friends * c_n));
-            assert_eq!(memo.terms.len(), rows * friends * c_n, "budget {budget}");
+        }
+        // The bound is the interpolation error's, not a loose one.
+        assert!(worst > 0.95 * LN_SIGMOID_ERR, "worst {worst:e}");
+
+        // Arguments as the fold-in forms them: `(s_v + π_vc) / (D + |C|ρ)`.
+        let mut rng = seeded_rng(0x15A6);
+        for _ in 0..1_000_000 {
+            let denom_u = rng.gen_range(1.0..200.0);
+            let s_v = rng.gen_range(0.0..denom_u);
+            let pi_vc = rng.gen::<f64>();
+            let err = friend_term_error(s_v, pi_vc, denom_u);
+            assert!(
+                err <= LN_SIGMOID_ERR,
+                "({s_v}, {pi_vc}, {denom_u}): {err:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn table_conditionals_stay_within_their_declared_bound() {
+        // The bound the certified draw is handed, on the conditionals the
+        // chain builds: any count state, topic and friend list.
+        let index = serving_shape_index();
+        let (c_n, z_n) = (index.n_communities(), index.n_topics());
+        let rho = index.rho();
+        let mut rng = seeded_rng(0xDE17);
+        let (mut exact, mut approx) = (vec![0.0; c_n], vec![0.0; c_n]);
+        for _ in 0..20_000 {
+            let d_n = rng.gen_range(2..=24usize);
+            let mut n_uc = vec![0u32; c_n];
+            (1..d_n).for_each(|_| n_uc[rng.gen_range(0..c_n)] += 1);
+            let z = rng.gen_range(0..z_n);
+            let friends: Vec<UserId> = (0..rng.gen_range(1..=60))
+                .map(|_| UserId(rng.gen_range(0..120)))
+                .collect();
+            let denom_u = d_n as f64 + c_n as f64 * rho;
+            for (c, (e, a)) in exact.iter_mut().zip(approx.iter_mut()).enumerate() {
+                *e = (n_uc[c] as f64 + rho).ln() + index.log_theta_row(c)[z];
+                *a = *e;
+            }
+            add_friend_terms(&mut exact, &index, &friends, &n_uc, rho, denom_u);
+            let delta = add_friend_terms_approx(&mut approx, &index, &friends, &n_uc, rho, denom_u);
+            assert!(delta < friends.len() as f64 * 3.1e-8, "delta {delta:e}");
+            for (e, a) in exact.iter().zip(&approx) {
+                assert!((a - e).abs() <= delta, "{a} against {e}, delta {delta:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn ln_sigmoid_table_answers_the_exact_term_outside_its_domain() {
+        let table = ln_sigmoid_table();
+        let mut rng = seeded_rng(0x0D0E);
+        let outside = (0..100_000)
+            .map(|i| match i % 3 {
+                0 => -rng.gen_range(0.0..800.0f64),
+                1 => rng.gen_range(2.001..800.0),
+                _ => -rng.gen::<f64>() * 1e-300,
+            })
+            .chain([
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                -f64::from_bits(1),
+            ])
+            .collect::<Vec<f64>>();
+        for (i, x) in outside.into_iter().enumerate() {
+            let denom_u = 1.0 + (i % 50) as f64 * 0.97;
+            let s_v = x * denom_u;
+            let approx =
+                ln_friend_term_approx(table, s_v, 0.0, denom_u, LN_SIGMOID_PER_UNIT / denom_u);
+            let exact = ln_friend_term(s_v, 0.0, denom_u);
+            assert_eq!(approx.to_bits(), exact.to_bits(), "x {x}");
         }
     }
 
@@ -951,32 +1029,29 @@ mod tests {
             }
             let item = FoldInItem::user(docs, friends);
             engine.profile_with_seed(&item, rng.gen(), &mut scratch);
-            // 30 sweeps × 3 draws, each at most one new row of 5 × 50
-            // friendship cells and one of 50 topic cells.
+            // 30 sweeps × 3 draws, each at most one new row of 50 topic
+            // cells.
             let used = MEMO_BUDGET_CELLS - scratch.memo_cells_left;
-            assert!(used <= 90 * (5 * 50 + 50), "{used} cells kept");
+            assert!(used <= 90 * 50, "{used} cells kept");
             assert!(scratch.topic_memo.spill.is_empty());
-            assert!(scratch.friend_memo.spill.is_empty());
         }
     }
 
     #[test]
-    fn large_fingerprint_items_spill_both_memos() {
+    fn large_fingerprint_items_spill_the_topic_memo() {
         let index = serving_shape_index();
         let engine = FoldIn::new(&index, FoldInConfig::default()).unwrap();
         let mut scratch = FoldScratch::new();
-        let (mut topic_spills, mut friend_spills) = (0, 0);
+        let mut spills = 0;
         for (item, seed) in fingerprint_items() {
             engine.profile_with_seed(&item, seed, &mut scratch);
-            if item.docs.len() >= 12 && !item.friends.is_empty() {
-                topic_spills += usize::from(!scratch.topic_memo.spill.is_empty());
-                friend_spills += usize::from(!scratch.friend_memo.spill.is_empty());
+            if item.docs.len() >= 12 {
+                spills += usize::from(!scratch.topic_memo.spill.is_empty());
             }
         }
         assert!(
-            topic_spills > 0 && friend_spills > 0,
-            "of the large items with friends, {topic_spills} drew topic conditionals \
-             and {friend_spills} friendship terms past the budget"
+            spills > 0,
+            "no large item drew a topic conditional past the budget"
         );
     }
 }

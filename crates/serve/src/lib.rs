@@ -101,7 +101,7 @@ pub mod runtime;
 pub mod wire;
 
 pub use cache::{fold_key, CacheStats, FoldCache};
-pub use foldin::{FoldIn, FoldInConfig, FoldInItem, FoldScratch, FoldedProfile};
+pub use foldin::{FoldIn, FoldInConfig, FoldInItem, FoldScratch, FoldedProfile, FriendDraws};
 pub use handle::IndexHandle;
 pub use index::{ProfileIndex, DEFAULT_TOP_K};
 pub use runtime::{

@@ -58,7 +58,7 @@
 //! [`swap_index`]: ServeRuntime::swap_index
 
 use crate::cache::{fold_key, CacheStats, FoldCache};
-use crate::foldin::{FoldIn, FoldInConfig, FoldInItem, FoldScratch, FoldedProfile};
+use crate::foldin::{FoldIn, FoldInConfig, FoldInItem, FoldScratch, FoldedProfile, FriendDraws};
 use crate::handle::IndexHandle;
 use crate::index::ProfileIndex;
 use crate::wire::max_fold_in_docs;
@@ -411,6 +411,11 @@ struct ServeMetrics {
     cache_misses: Counter,
     cache_evictions: Counter,
     cache_entries: Gauge,
+    /// `cpd_serve_fold_in_draws_total{path=...}`: community draws with
+    /// friends decided by the certified conditional, and rescanned on
+    /// the exact one.
+    friend_draws_certified: Counter,
+    friend_draws_exact: Counter,
     generation_gauge: Gauge,
     uptime_gauge: Gauge,
     workers_gauge: Gauge,
@@ -424,6 +429,13 @@ struct ServeMetrics {
 impl ServeMetrics {
     fn resolve(registry: Arc<Registry>, max_queue_depth: usize, degraded_window: Duration) -> Self {
         let query_help = "Worker-side query latency by query class";
+        let friend_draws = |path: &str| {
+            registry.counter(
+                "cpd_serve_fold_in_draws_total",
+                "Fold-in community draws with friends, by the conditional that decided them",
+                &[("path", path)],
+            )
+        };
         let span = |kind: &str| {
             registry.histogram(
                 "cpd_serve_span_seconds",
@@ -502,6 +514,8 @@ impl ServeMetrics {
                 "Profiles resident in the fold-in cache",
                 &[],
             ),
+            friend_draws_certified: friend_draws("certified"),
+            friend_draws_exact: friend_draws("exact"),
             generation_gauge: registry.gauge(
                 "cpd_serve_generation",
                 "Generation of the live index snapshot",
@@ -1064,6 +1078,11 @@ impl ServeRuntime {
                     drop(exec_span);
                     let end = Instant::now();
                     metrics.record(class, (end - start).as_nanos() as u64);
+                    let draws = scratch.take_friend_draws();
+                    if draws != FriendDraws::default() {
+                        metrics.friend_draws_certified.add(draws.certified);
+                        metrics.friend_draws_exact.add(draws.exact);
+                    }
                     if job.trace.is_none() {
                         // Tail-sampling triggers for requests nothing
                         // head-sampled: errors always, plus anything
@@ -1707,6 +1726,53 @@ mod tests {
         // The surviving worker answers the next batch in full.
         assert_eq!(runtime.submit_batch(batch.clone()), oracle);
         assert_eq!(hits.load(Ordering::SeqCst), 2 * batch.len() as u64);
+        runtime.shutdown();
+    }
+
+    #[test]
+    fn fold_in_friend_draws_are_counted_by_path() {
+        let (c_n, z_n, v_n) = (3, 4, 5);
+        let cfg = CpdConfig::new(c_n, z_n);
+        let index = Arc::new(ProfileIndex::build(
+            CpdModel {
+                pi: (0..3).map(|u| peaked(c_n, u)).collect(),
+                theta: (0..c_n).map(|c| peaked(z_n, c + 1)).collect(),
+                phi: (0..z_n).map(|z| peaked(v_n, z)).collect(),
+                ..model(c_n, z_n)
+            },
+            &cfg,
+        ));
+        let runtime = ServeRuntime::new(index, None, ServeOptions::default()).unwrap();
+        let docs = vec![vec![WordId(0), WordId(1)], vec![WordId(2)], vec![WordId(3)]];
+        let user = QueryRequest::FoldIn {
+            item: FoldInItem::user(docs.clone(), vec![UserId(0), UserId(2)]),
+            seed: 7,
+        };
+        // Only a user with several documents and friends draws through
+        // the certificate; a repeat is a cache hit and draws nothing.
+        let batch = vec![
+            user.clone(),
+            QueryRequest::FoldIn {
+                item: FoldInItem::user(vec![docs[0].clone()], vec![UserId(1)]),
+                seed: 7,
+            },
+            QueryRequest::FoldIn {
+                item: FoldInItem::user(docs, Vec::new()),
+                seed: 7,
+            },
+        ];
+        runtime.submit_batch(batch);
+        runtime.submit_batch(vec![user]);
+        let count = |path: &str| -> u64 {
+            scraped(
+                &runtime,
+                &format!("cpd_serve_fold_in_draws_total{{path=\"{path}\"}}"),
+            )
+            .parse()
+            .unwrap()
+        };
+        let sweeps = FoldInConfig::default().sweeps as u64;
+        assert_eq!(count("certified") + count("exact"), 3 * sweeps);
         runtime.shutdown();
     }
 
